@@ -8,6 +8,7 @@ __version__ = "1.0.0"
 from .geometry import (
     GeometryError,
     Point,
+    angle_order,
     canonical,
     collinear_groups,
     cross,
@@ -38,6 +39,7 @@ from .convexity import (
     max_convex_position_subset,
     max_general_position_subset,
     max_strictly_convex_subset,
+    peel_layers,
     q_formula,
     strictly_convex_subset_in_convex_position,
 )

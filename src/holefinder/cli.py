@@ -17,8 +17,10 @@ from .convexity import (
     convex_hull,
     es_bound,
     es_kl_bound,
+    is_strictly_convex_position,
     max_convex_position_subset,
     max_strictly_convex_subset,
+    peel_layers,
     q_formula,
 )
 from .extractor import (
@@ -27,13 +29,7 @@ from .extractor import (
     extract as run_extract,
     threshold_k,
 )
-from .geometry import (
-    GeometryError,
-    Point,
-    canonical,
-    collinear_groups,
-    max_collinear,
-)
+from .geometry import GeometryError, Point, max_collinear
 from .holes import (
     CollinearCertificate,
     HoleCertificate,
@@ -103,19 +99,18 @@ def certificate_document(cert, verified: bool, trace=None) -> dict:
         "verified": verified,
         "tool_version": __version__,
     }
+    return _with_trace(doc, trace)
+
+
+def _with_trace(doc: dict, trace) -> dict:
+    """``doc`` with the trace steps added, unless ``trace`` is None.
+
+    Step details hold only string keys, ints, bools, strings and nested
+    lists or tuples of them, which ``json.dumps`` writes as they are.
+    """
     if trace is not None:
-        doc["trace"] = [
-            {"kind": step.kind, "detail": _jsonable(step.detail)} for step in trace
-        ]
+        doc["trace"] = [{"kind": step.kind, "detail": step.detail} for step in trace]
     return doc
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def emit_json(doc: dict, out: Optional[str]) -> None:
@@ -169,13 +164,9 @@ def analyze(input_file: str) -> None:
         if cert is not None:
             largest = k
     click.echo(f"largest_hole: {largest if largest is not None else 'none'}")
-    sizes = []
-    remaining = canonical(pts)
-    while remaining:
-        boundary = set(convex_hull(remaining).boundary)
-        sizes.append(len(boundary))
-        remaining = [p for p in remaining if p not in boundary]
-    click.echo(f"convex_layers: {sizes}")
+    # Each peel takes at least one point, so n layers exhaust the set.
+    layers, _ = peel_layers(pts, convex_hull(pts).boundary, n)
+    click.echo(f"convex_layers: {[len(layer) for layer in layers]}")
 
 
 @main.command(name="extract")
@@ -204,11 +195,7 @@ def extract_cmd(
             "exhausted": result.outcome.exhausted,
             "tool_version": __version__,
         }
-        if trace is not None:
-            doc["trace"] = [
-                {"kind": s.kind, "detail": _jsonable(s.detail)} for s in trace
-            ]
-        emit_json(doc, out)
+        emit_json(_with_trace(doc, trace), out)
         sys.exit(3)
     verified = result.outcome.verify(pts)
     emit_json(certificate_document(result.outcome, verified, trace), out)
@@ -298,10 +285,15 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
     for field in ("kind", "parameter", "points", "tool_version"):
         if field not in doc:
             return f"missing field: {field}"
-    try:
-        cert_pts = [(int(x), int(y)) for x, y in doc["points"]]
-    except (TypeError, ValueError):
+    if type(doc["parameter"]) is not int:
+        return "parameter is not an integer"
+    raw = doc["points"]
+    if not isinstance(raw, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(c) is int for c in p)
+        for p in raw
+    ):
         return "points are not integer pairs"
+    cert_pts = [(x, y) for x, y in raw]
     ambient = set(pts)
     if not all(p in ambient for p in cert_pts):
         return "certificate point not in the point set"
@@ -318,8 +310,6 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
             return "duplicate certificate points"
         if len(cert_pts) != doc["parameter"]:
             return "point count disagrees with the stated parameter"
-        from .convexity import is_strictly_convex_position
-
         if not is_strictly_convex_position(cert_pts):
             return "not strictly convex"
         if not is_hole(pts, cert_pts):

@@ -7,7 +7,6 @@ every point is a corner.  The distinction drives everything in this module.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -15,6 +14,7 @@ from typing import Optional, Sequence
 from .geometry import (
     GeometryError,
     Point,
+    angle_order,
     canonical,
     cross,
     max_collinear,
@@ -138,23 +138,6 @@ def in_closed_hull(p: Point, hull: HullBoundary) -> bool:
 # Convex-position subset search
 
 
-def _angle_sorted(base: Point, cand: list[Point]) -> list[Point]:
-    """Candidates (all lexicographically above base) by angle around base,
-    ties by increasing distance."""
-
-    def cmp(a: Point, b: Point) -> int:
-        c = cross(base, a, b)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        da = (a[0] - base[0]) ** 2 + (a[1] - base[1]) ** 2
-        db = (b[0] - base[0]) ** 2 + (b[1] - base[1]) ** 2
-        return -1 if da < db else (1 if da > db else 0)
-
-    return sorted(cand, key=functools.cmp_to_key(cmp))
-
-
 def find_convex_position_subset(
     points: Sequence[Point], k: int, strict: bool = False
 ) -> Optional[list[Point]]:
@@ -178,7 +161,7 @@ def find_convex_position_subset(
             return witness[:k]
 
     for idx, base in enumerate(pts):
-        cand = _angle_sorted(base, pts[idx + 1 :])
+        cand = angle_order(base, pts[idx + 1 :])
         found = _grow_corner_chain(pts, base, cand, k, strict)
         if found is not None:
             if len(found) > k:
@@ -351,7 +334,8 @@ def strictly_convex_subset_in_convex_position(
             f"need at least q({k},{ell}) = {q_formula(k, ell)} points, got {len(pts)}"
         )
     result = canonical(_select_strict(pts, k, ell))
-    assert len(result) == k and is_strictly_convex_position(result)
+    if len(result) != k or not is_strictly_convex_position(result):
+        raise GeometryError(f"selected {result} is not {k} strictly convex points")
     return result
 
 
@@ -395,7 +379,8 @@ def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
             v, w = side
             n = len(boundary)
             j = boundary.index(v)
-            assert boundary[(j + 1) % n] == w
+            if boundary[(j + 1) % n] != w:
+                raise GeometryError(f"side {side} is not a boundary edge")
             t = boundary[(j - 2) % n]
             u = boundary[(j - 1) % n]
             x = boundary[(j + 2) % n]
@@ -416,7 +401,8 @@ def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
     else:
         chosen = [corners[i] for i in range(0, m - 2, 2)]
     picked = mids + chosen
-    assert len(picked) >= k
+    if len(picked) < k:
+        raise GeometryError(f"only {len(picked)} strictly convex points, need {k}")
     return picked[:k]
 
 
@@ -441,7 +427,8 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
         if replacement is None:
             return canonical(current)
         new_measure = _hull_measure(replacement)
-        assert new_measure < measure
+        if new_measure >= measure:
+            raise GeometryError("k-minimal descent did not shrink the hull")
         current, measure = replacement, new_measure
 
 
@@ -490,6 +477,40 @@ class LayerDecomposition:
     def sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
+    @classmethod
+    def build(
+        cls, points: Sequence[Point], outer: Sequence[Point], ell: int, k: int
+    ) -> "LayerDecomposition":
+        """``outer``, then ell - 2 peels of the points inside its hull (empty
+        once the points run out), then the residue layer, whose canonical
+        least point is the apex."""
+        layers, residue = peel_layers(points, outer, ell - 1)
+        layers += [()] * (ell - 1 - len(layers))
+        residue = canonical(residue)
+        apex = residue[0] if residue else None
+        return cls(tuple(layers) + (tuple(residue),), apex, ell, k)
+
+
+def peel_layers(
+    points: Sequence[Point], outer: Sequence[Point], depth: int
+) -> tuple[list[tuple[Point, ...]], list[Point]]:
+    """Convex layers from ``outer`` inward, and the points left inside them.
+
+    The first layer is ``outer``; each later one is the hull boundary
+    (collinear boundary points included) of the points of ``points`` inside
+    conv(outer) that no earlier layer took.  Peeling stops after ``depth``
+    layers or when no point is left; layers are in canonical order.
+    """
+    layers = [tuple(canonical(outer))]
+    taken = set(outer)
+    hull = convex_hull(outer)
+    remaining = [p for p in points if p not in taken and in_closed_hull(p, hull)]
+    while remaining and len(layers) < depth:
+        boundary = set(convex_hull(remaining).boundary)
+        layers.append(tuple(canonical(p for p in remaining if p in boundary)))
+        remaining = [p for p in remaining if p not in boundary]
+    return layers, remaining
+
 
 def convex_layers(points: Sequence[Point], ell: int, k: int) -> LayerDecomposition:
     """Layer decomposition: a k-minimal outer layer, then hull-boundary peels,
@@ -497,21 +518,7 @@ def convex_layers(points: Sequence[Point], ell: int, k: int) -> LayerDecompositi
     pts = canonical(validate_points(points))
     if ell < 2:
         raise GeometryError("convex_layers needs ell >= 2")
-    outer = k_minimal_convex_subset(pts, k)
-    layers: list[tuple[Point, ...]] = [tuple(outer)]
-    hull = convex_hull(outer)
-    remaining = [p for p in pts if in_closed_hull(p, hull) and p not in set(outer)]
-    for _ in range(2, ell):
-        if not remaining:
-            layers.append(())
-            continue
-        boundary = set(convex_hull(remaining).boundary)
-        layer = [p for p in remaining if p in boundary]
-        layers.append(tuple(canonical(layer)))
-        remaining = [p for p in remaining if p not in boundary]
-    layers.append(tuple(canonical(remaining)))
-    apex = min(remaining) if remaining else None
-    return LayerDecomposition(tuple(layers), apex, ell, k)
+    return LayerDecomposition.build(pts, k_minimal_convex_subset(pts, k), ell, k)
 
 
 def max_general_position_subset(points: Sequence[Point]) -> list[Point]:

@@ -12,7 +12,6 @@ exact at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .convexity import (
@@ -28,14 +27,13 @@ from .geometry import (
     Point,
     canonical,
     cross,
+    in_closed_triangle,
     in_open_triangle,
     max_collinear,
     on_closed_segment,
     validate_points,
 )
 from .holes import CollinearCertificate, HoleCertificate, find_k_hole, is_hole
-
-ORACLE_COMPLETE_BOUND = 30
 
 
 def threshold_k(ell: int) -> int:
@@ -44,7 +42,8 @@ def threshold_k(ell: int) -> int:
         raise GeometryError("threshold_k needs ell >= 2")
     num = (2 * ell - 1) ** ell - 1
     den = 2 * ell - 2
-    assert num % den == 0
+    if num % den:
+        raise GeometryError(f"threshold_k({ell}) is not an integer")
     return num // den
 
 
@@ -66,8 +65,13 @@ class ExtractionParams:
 
 @dataclass(frozen=True)
 class Inconclusive:
-    """No certificate; ``exhausted`` is True when a complete search proved
-    that none exists."""
+    """No certificate.
+
+    ``exhausted`` is True exactly when the complete fallback search ran
+    (``find_k_hole`` is complete at every size), which proves that the set
+    has neither ``ell`` collinear points nor a 5-hole.  It is False when the
+    fallback was switched off, so absence is not proved.
+    """
 
     exhausted: bool
 
@@ -117,14 +121,8 @@ def is_empty_arc(arc: Arc, decomposition: LayerDecomposition) -> bool:
     return not any(in_open_triangle(p, arc.start, arc.end, z) for p in nxt)
 
 
-def follower(
-    arc: Arc, decomposition: LayerDecomposition, check_claims: bool = False
-) -> Arc:
-    """The arc of the next layer meeting the triangle of an empty arc.
-
-    With ``check_claims`` the follower quadrilateral is asserted to be a
-    4-hole of the layer points and the follower arc to be empty in turn.
-    """
+def follower(arc: Arc, decomposition: LayerDecomposition) -> Arc:
+    """The arc of the next layer meeting the triangle of an empty arc."""
     if not is_empty_arc(arc, decomposition):
         raise GeometryError("follower is only defined for empty arcs")
     z = decomposition.apex
@@ -139,12 +137,7 @@ def follower(
     if result is None:
         raise FollowerError("could not isolate the crossed arc")
     p, q = result
-    out = Arc(p, q, arc.layer_index + 1)
-    if check_claims:
-        ambient = [pt for layer in decomposition.layers for pt in layer]
-        assert is_hole(ambient, [x, y, p, q])
-        assert is_empty_arc(out, decomposition)
-    return out
+    return Arc(p, q, arc.layer_index + 1)
 
 
 def _crossed_arc(
@@ -152,47 +145,33 @@ def _crossed_arc(
 ) -> Optional[tuple[Point, Point]]:
     """The boundary arc crossed by a ray from z toward the segment xy.
 
-    Several rational targets along xy are tried so that a ray hitting a
-    boundary vertex exactly can be replaced by a nearby one that does not.
+    Several rational targets t = x + (num/den)(y - x) are tried so that a
+    ray hitting a boundary vertex exactly can be replaced by a nearby one
+    that does not.  All points are scaled by den, so that t is an integer
+    point and every test is an exact orientation sign.
     """
     m = len(boundary)
     for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5)):
-        tx = Fraction(x[0] * (den - num) + y[0] * num, den)
-        ty = Fraction(x[1] * (den - num) + y[1] * num, den)
+        t = (x[0] * (den - num) + y[0] * num, x[1] * (den - num) + y[1] * num)
+        zs = (z[0] * den, z[1] * den)
         hit_vertex = False
         for j in range(m):
             a, b = boundary[j], boundary[(j + 1) % m]
-            params = _segment_intersection(z, (tx, ty), a, b)
-            if params is None:
+            as_, bs = (a[0] * den, a[1] * den), (b[0] * den, b[1] * den)
+            # The segment zt must cross line ab strictly between z and t ...
+            sz, st = cross(as_, bs, zs), cross(as_, bs, t)
+            if not ((sz > 0 > st) or (sz < 0 < st)):
                 continue
-            s, u = params
-            if not (0 < s < 1):
+            # ... at a point of the closed edge ab.
+            sa, sb = cross(zs, t, as_), cross(zs, t, bs)
+            if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
                 continue
-            if u == 0 or u == 1:
+            if sa == 0 or sb == 0:
                 hit_vertex = True
                 break
             return a, b
         if not hit_vertex:
             return None
-    return None
-
-
-def _segment_intersection(p1, p2, p3: Point, p4: Point):
-    """Parameters (s, u) with p1 + s*(p2-p1) == p3 + u*(p4-p3), both within
-    [0, 1], or None (parallel segments give None)."""
-    d1x = Fraction(p2[0]) - Fraction(p1[0])
-    d1y = Fraction(p2[1]) - Fraction(p1[1])
-    d2x = Fraction(p4[0] - p3[0])
-    d2y = Fraction(p4[1] - p3[1])
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0:
-        return None
-    rx = Fraction(p3[0]) - Fraction(p1[0])
-    ry = Fraction(p3[1]) - Fraction(p1[1])
-    s = (rx * d2y - ry * d2x) / denom
-    u = (rx * d1y - ry * d1x) / denom
-    if 0 <= s <= 1 and 0 <= u <= 1:
-        return s, u
     return None
 
 
@@ -241,14 +220,14 @@ def _fallback(pts, params: ExtractionParams, trace) -> ExtractionResult:
     if not params.oracle_fallback:
         trace.append(TraceStep("inconclusive", {"fallback": False}))
         return ExtractionResult(Inconclusive(exhausted=False), trace)
-    hole = find_k_hole(pts, 5) if len(pts) >= 5 else None
+    hole = find_k_hole(pts, 5)
     if hole is not None:
-        assert hole.verify(pts)
+        if not hole.verify(pts):
+            raise GeometryError(f"fallback hole {hole.vertices} fails verification")
         trace.append(TraceStep("oracle-fallback", {"found": True}))
         return ExtractionResult(hole, trace)
-    exhausted = len(pts) <= ORACLE_COMPLETE_BOUND
-    trace.append(TraceStep("oracle-fallback", {"found": False, "complete": exhausted}))
-    return ExtractionResult(Inconclusive(exhausted=exhausted), trace)
+    trace.append(TraceStep("oracle-fallback", {"found": False, "complete": True}))
+    return ExtractionResult(Inconclusive(exhausted=True), trace)
 
 
 def _verified_hole(pts, candidate, kind, trace) -> Optional[ExtractionResult]:
@@ -278,7 +257,7 @@ def _run_machinery(
     ground = pts
     for restart in range(len(pts) + 1):
         outer = k_minimal_convex_subset(ground, k)
-        decomposition = _layers_from(pts, outer, ell, k)
+        decomposition = LayerDecomposition.build(pts, outer, ell, k)
         trace.append(
             TraceStep(
                 "layers",
@@ -314,24 +293,6 @@ def _run_machinery(
     return None
 
 
-def _layers_from(
-    pts: list[Point], outer: list[Point], ell: int, k: int
-) -> LayerDecomposition:
-    layers: list[tuple[Point, ...]] = [tuple(canonical(outer))]
-    hull = convex_hull(outer)
-    remaining = [p for p in pts if in_closed_hull(p, hull) and p not in set(outer)]
-    for _ in range(2, ell):
-        if not remaining:
-            layers.append(())
-            continue
-        boundary = set(convex_hull(remaining).boundary)
-        layers.append(tuple(canonical([p for p in remaining if p in boundary])))
-        remaining = [p for p in remaining if p not in boundary]
-    layers.append(tuple(canonical(remaining)))
-    apex = min(remaining) if remaining else None
-    return LayerDecomposition(tuple(layers), apex, ell, k)
-
-
 def _window_harvest(
     pts: list[Point],
     decomposition: LayerDecomposition,
@@ -365,7 +326,10 @@ def _window_harvest(
                 continue
             hole = find_k_hole(local, 5)
             if hole is not None:
-                assert hole.verify(pts)
+                if not hole.verify(pts):
+                    raise GeometryError(
+                        f"window hole {hole.vertices} is not a hole of the set"
+                    )
                 trace.append(
                     TraceStep(
                         "window-harvest",
@@ -431,9 +395,7 @@ def _walk(
                 for r in pts
                 if r not in (p, q)
                 and cross(p, q, r) != 0
-                and (
-                    in_open_triangle(r, p, q, z) or _on_triangle_edge(r, p, q, z)
-                )
+                and in_closed_triangle(r, p, q, z)
             ]
             r = _closest_to_line(pool, p, q)
             return _verified_hole(
@@ -473,13 +435,3 @@ def _walk(
         return None
     candidate = [xs[j - 3], ys[j - 3], ys[j - 2], ys[j - 1], xs[j - 2]]
     return _verified_hole(pts, candidate, "terminal-harvest", trace)
-
-
-def _on_triangle_edge(r: Point, p: Point, q: Point, z: Point) -> bool:
-    if cross(p, q, z) == 0:
-        return False
-    return (
-        on_closed_segment(r, p, z)
-        or on_closed_segment(r, q, z)
-        or on_closed_segment(r, p, q)
-    )

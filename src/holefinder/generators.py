@@ -41,7 +41,8 @@ def _loaded_polygon(
         corners.append((x, y))
         x += vx * scale
         y += vy * scale
-    assert (x, y) == (0, 0)
+    if (x, y) != (0, 0):
+        raise GeometryError("loaded polygon does not close")
     pts: list[Point] = list(corners)
     for j in range(0, 2 * sides, 2):
         ax, ay = corners[j]
@@ -116,7 +117,8 @@ def grid(m: int) -> list[Point]:
     if m < 2:
         raise GeometryError("grid needs m >= 2")
     pts = [(x, y) for x in range(m) for y in range(m)]
-    assert max_collinear(pts)[0] == m
+    if max_collinear(pts)[0] != m:
+        raise GeometryError(f"grid({m}) does not have exactly {m} collinear points")
     return pts
 
 
@@ -126,8 +128,8 @@ def horton(n: int) -> list[Point]:
     if n < 1 or n & (n - 1):
         raise GeometryError("horton needs n a power of 2")
     pts = _horton(n)
-    assert len(set(pts)) == n
-    assert is_general_position(pts)
+    if len(set(pts)) != n or not is_general_position(pts):
+        raise GeometryError(f"horton({n}) is not {n} points in general position")
     return canonical(pts)
 
 
@@ -164,7 +166,8 @@ def collinear_plus_one(ell: int) -> list[Point]:
     if ell < 2:
         raise GeometryError("collinear_plus_one needs ell >= 2")
     pts = [(i, 0) for i in range(ell - 1)] + [(0, 1)]
-    assert max_collinear(pts)[0] == max(2, ell - 1)
+    if max_collinear(pts)[0] != max(2, ell - 1):
+        raise GeometryError(f"collinear_plus_one({ell}) has the wrong collinearity")
     return canonical(pts)
 
 
@@ -193,8 +196,8 @@ def eppstein_family(tag: str, n: int = 6) -> list[Point]:
         pts = list(EXCEPTIONAL_SIX)
     else:
         raise GeometryError(f"unknown family tag: {tag!r}")
-    family = classify_no_four_hole(pts)
-    assert family.tag is not None
+    if classify_no_four_hole(pts).tag == "has-four-hole":
+        raise GeometryError(f"eppstein_family({tag!r}, {n}) has a 4-hole")
     return canonical(pts)
 
 
@@ -217,7 +220,8 @@ def random_bounded_collinear(n: int, ell: int, seed: int) -> list[Point]:
             continue
         pts.append(p)
     out = canonical(pts)
-    assert max_collinear(out)[0] < ell
+    if max_collinear(out)[0] >= ell:
+        raise GeometryError(f"sampled set has {ell} collinear points")
     return out
 
 

@@ -7,6 +7,7 @@ decision paths.
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 from typing import Iterable, Sequence, Tuple
 
@@ -23,15 +24,19 @@ def canonical(points: Iterable[Point]) -> list[Point]:
 
 
 def validate_points(points: Iterable[Point]) -> list[Point]:
-    """Check that all points are integer pairs and pairwise distinct."""
+    """Check that all points are integer pairs and pairwise distinct.
+
+    Coordinates must be exactly ``int``: ``bool`` (an ``int`` subclass) and
+    floats are rejected rather than coerced.
+    """
     pts = list(points)
     seen = set()
     for p in pts:
         if (
             not isinstance(p, tuple)
             or len(p) != 2
-            or not isinstance(p[0], int)
-            or not isinstance(p[1], int)
+            or type(p[0]) is not int
+            or type(p[1]) is not int
         ):
             raise GeometryError(f"not an integer point: {p!r}")
         if p in seen:
@@ -43,6 +48,23 @@ def validate_points(points: Iterable[Point]) -> list[Point]:
 def cross(a: Point, b: Point, c: Point) -> int:
     """Twice the signed area of triangle abc (positive for a left turn)."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def angle_order(base: Point, cand: Iterable[Point]) -> list[Point]:
+    """Candidates (all lexicographically above base) counterclockwise by
+    angle around base, ties by increasing distance."""
+
+    def cmp(a: Point, b: Point) -> int:
+        c = cross(base, a, b)
+        if c > 0:
+            return -1
+        if c < 0:
+            return 1
+        da = (a[0] - base[0]) ** 2 + (a[1] - base[1]) ** 2
+        db = (b[0] - base[0]) ** 2 + (b[1] - base[1]) ** 2
+        return -1 if da < db else (1 if da > db else 0)
+
+    return sorted(cand, key=functools.cmp_to_key(cmp))
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:

@@ -8,23 +8,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexity import (
-    convex_hull,
-    hull_twice_area,
-    in_closed_hull,
-    is_strictly_convex_position,
-)
+from .convexity import convex_hull, hull_twice_area, in_closed_hull
 from .geometry import (
     GeometryError,
     Point,
+    angle_order,
     canonical,
     cross,
     in_closed_triangle,
     max_collinear,
     on_closed_segment,
+    segments_cross_properly,
     validate_points,
 )
 
@@ -88,9 +84,9 @@ def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
         raise GeometryError("hole vertices must belong to the ambient set")
     if len(sub) < 3:
         return False
-    if not is_strictly_convex_position(sub):
-        return False
     hull = convex_hull(sub)
+    if len(hull.corners) != len(sub):
+        return False  # not in strictly convex position
     sub_set = set(sub)
     return all(p in sub_set or not in_closed_hull(p, hull) for p in pts)
 
@@ -108,27 +104,11 @@ def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     if len(pts) < k:
         return None
     for idx, base in enumerate(pts):
-        cand = _angle_order(base, pts[idx + 1 :])
+        cand = angle_order(base, pts[idx + 1 :])
         chain = _empty_chain(pts, base, cand, k)
         if chain is not None:
             return HoleCertificate.build(pts, chain)
     return None
-
-
-def _angle_order(base: Point, cand: list[Point]) -> list[Point]:
-    import functools
-
-    def cmp(a: Point, b: Point) -> int:
-        c = cross(base, a, b)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        da = (a[0] - base[0]) ** 2 + (a[1] - base[1]) ** 2
-        db = (b[0] - base[0]) ** 2 + (b[1] - base[1]) ** 2
-        return -1 if da < db else (1 if da > db else 0)
-
-    return sorted(cand, key=functools.cmp_to_key(cmp))
 
 
 def _empty_chain(
@@ -199,25 +179,17 @@ def visibility_graph(points: Sequence[Point]) -> VisibilityGraph:
     return VisibilityGraph(tuple(pts), frozenset(edges))
 
 
-def _proper_crossing(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff open segments ab and cd share a point (no shared endpoints)."""
-    d1 = cross(c, d, a)
-    d2 = cross(c, d, b)
-    d3 = cross(a, b, c)
-    d4 = cross(a, b, d)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 and d2 and d3 and d4:
-        return True
-    return False
-
-
 def is_crossing_free(graph: VisibilityGraph) -> bool:
-    """True iff no two visibility edges cross at interior points."""
+    """True iff no two visibility edges cross at interior points.
+
+    No point of the set lies inside a visibility edge, so two edges can
+    neither touch nor overlap, and any common point other than a shared
+    endpoint is interior to both.
+    """
     edges = sorted(graph.edges)
     for i, (a, b) in enumerate(edges):
         for c, d in edges[i + 1 :]:
-            if a in (c, d) or b in (c, d):
-                continue
-            if _proper_crossing(a, b, c, d):
+            if segments_cross_properly(a, b, c, d):
                 return False
     return True
 
@@ -238,15 +210,14 @@ def min_area_five_hole(
     best: Optional[tuple[int, list[Point], HoleCertificate]] = None
     for combo in itertools.combinations(inside, 5):
         sub = list(combo)
-        if not is_strictly_convex_position(sub):
-            continue
         if not is_hole(pts, sub):
             continue
         area = hull_twice_area(convex_hull(sub).corners)
         key = (area, canonical(sub))
         if best is None or key < (best[0], best[1]):
             best = (area, canonical(sub), HoleCertificate.build(pts, sub))
-    assert best is not None  # the input hole itself always qualifies
+    if best is None:
+        raise GeometryError("the input hole is not among its own refinements")
     return best[2]
 
 
@@ -275,14 +246,11 @@ def find_visible_5_clique(points: Sequence[Point], ell: int):
 # ---------------------------------------------------------------------------
 # No-4-hole classification
 
-# Integer realization of the single exceptional 6-point order type with no
-# 4-hole that is not covered by the collinear families.  Found by exhaustive
-# search over small integer configurations; any relabeling or mirror image of
-# this order type is accepted.
-# The unique 6-point order type with no 4-hole that is neither
-# all-but-one-collinear nor two-apex-line.  Frozen from an exhaustive search
-# of 6-subsets of the 4x4 grid, which finds exactly one order type meeting
-# those conditions (see tests for the re-derivation).
+# Integer realization of the unique 6-point order type with no 4-hole that
+# is neither all-but-one-collinear nor two-apex-line.  Frozen from an
+# exhaustive search of 6-subsets of the 4x4 grid, which finds exactly one
+# order type meeting those conditions (see tests for the re-derivation); any
+# relabeling or mirror image of it is accepted.
 EXCEPTIONAL_SIX: tuple[Point, ...] = (
     (0, 0),
     (1, 1),
@@ -341,20 +309,14 @@ def _two_apex_line_witness(pts: list[Point]) -> Optional[tuple[Point, ...]]:
         sw = cross(a, b, w)
         if sv == 0 or sw == 0 or (sv > 0) == (sw > 0):
             continue
-        # Crossing point of segment vw with the line through rest.
-        t = Fraction(sv, sv - sw)
-        sx = Fraction(v[0]) + t * (w[0] - v[0])
-        sy = Fraction(v[1]) + t * (w[1] - v[1])
+        # Segment vw crosses the rest's line in one point: outside the rest's
+        # hull iff both ends of the hull lie strictly on one side of line vw,
+        # and a point of the set iff some point of the rest lies on line vw.
         lo, hi = min(rest), max(rest)
-        within = (
-            min(lo[0], hi[0]) <= sx <= max(lo[0], hi[0])
-            and min(lo[1], hi[1]) <= sy <= max(lo[1], hi[1])
-        )
-        if not within:
+        if cross(v, w, lo) * cross(v, w, hi) > 0 or any(
+            cross(v, w, p) == 0 for p in rest
+        ):
             return (v, w)
-        if sx.denominator == 1 and sy.denominator == 1:
-            if (int(sx), int(sy)) in set(rest):
-                return (v, w)
     return None
 
 
@@ -387,11 +349,14 @@ def classify_no_four_hole(points: Sequence[Point]) -> NoFourHoleFamily:
 
     if hole is not None:
         # Equivalence: a 4-hole must coincide with a crossing and no family.
-        assert not crossing_free
-        assert tag is None
+        if crossing_free or tag is not None:
+            raise GeometryError(
+                f"a 4-hole coexists with crossing_free={crossing_free}, family {tag}"
+            )
         return NoFourHoleFamily("has-four-hole", hole.vertices, crossing_free)
 
-    assert crossing_free
+    if not crossing_free:
+        raise GeometryError("no 4-hole, yet two visibility edges cross")
     if tag is None:
         raise GeometryError("no-4-hole set matches no known family")
     return NoFourHoleFamily(tag, witness, crossing_free)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -196,6 +198,28 @@ def test_verify_rejects_non_hole(tmp_path, runner):
     assert "hull not empty" in result.output
 
 
+def test_verify_rejects_string_parameter(tmp_path, runner):
+    # Comparing the point count with a string parameter raised TypeError.
+    path, out, doc = make_cert(tmp_path, runner, text="0 0\n1 1\n2 2\n5 0\n")
+    assert doc["kind"] == "collinear"
+    doc["parameter"] = "3"
+    cert2 = write(tmp_path, "cert2.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert2])
+    assert result.exit_code == 1
+    assert "invalid certificate: parameter is not an integer" in result.output
+
+
+def test_verify_rejects_float_coordinates(tmp_path, runner):
+    # int() would truncate 0.9 to 0 and accept the certificate.
+    path, out, doc = make_cert(tmp_path, runner)
+    i = doc["points"].index([0, 0])
+    doc["points"][i] = [0.9, 0]
+    cert2 = write(tmp_path, "cert2.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert2])
+    assert result.exit_code == 1
+    assert "invalid certificate: points are not integer pairs" in result.output
+
+
 def test_verify_rejects_malformed_json(tmp_path, runner):
     path = write(tmp_path, "p.txt", PENTA_TEXT)
     cert = write(tmp_path, "cert.json", "{not json")
@@ -218,3 +242,23 @@ def test_bounds_output(runner):
 
 def test_bounds_rejects_small_parameters(runner):
     assert runner.invoke(main, ["bounds", "2", "3"]).exit_code == 2
+
+
+# --- README -------------------------------------------------------------
+
+
+def test_readme_commands_run(tmp_path, runner, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.split("```")[0].splitlines()
+        if line.startswith("holefinder ")
+    ]
+    assert len(commands) == 5
+    (tmp_path / "points.txt").write_text(PENTA_TEXT)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        result = runner.invoke(main, argv[1:])
+        assert result.exit_code == 0, (argv, result.output)

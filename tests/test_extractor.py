@@ -13,8 +13,9 @@ from holefinder.extractor import (
     is_empty_arc,
     threshold_k,
 )
+from holefinder.generators import grid
 from holefinder.geometry import GeometryError
-from holefinder.holes import CollinearCertificate, HoleCertificate
+from holefinder.holes import CollinearCertificate, HoleCertificate, is_hole
 
 # Convex 7-gon reused as the outer layer of several engineered inputs.
 HEPTAGON = [(0, 0), (40, -12), (80, 0), (92, 34), (62, 58), (18, 58), (-10, 34)]
@@ -57,6 +58,14 @@ def test_extract_grid_is_exhausted_inconclusive():
     grid = [(x, y) for x in range(3) for y in range(3)]
     result = extract(grid, ExtractionParams(ell=4))
     assert result.outcome == Inconclusive(exhausted=True)
+
+
+def test_extract_large_absence_is_exhausted():
+    # The fallback hole search is complete at every size, so its absence
+    # proof on 36 points is as exhaustive as on 9.
+    result = extract(grid(6), ExtractionParams(ell=7, k=5))
+    assert result.outcome == Inconclusive(exhausted=True)
+    assert result.trace[-1].detail == {"found": False, "complete": True}
 
 
 def test_extract_window_harvest():
@@ -154,8 +163,13 @@ def test_is_empty_arc_exactly_one_empty():
 
 def test_follower_with_claim_checks():
     arc = Arc((20, -20), (-20, -20), 1)
-    out = follower(arc, DECOMP, check_claims=True)
+    out = follower(arc, DECOMP)
     assert (out.start, out.end, out.layer_index) == ((8, -2), (-8, -2), 2)
+    # The follower quadrilateral is a 4-hole of the layer points, and the
+    # follower arc is empty in turn.
+    ambient = [p for layer in DECOMP.layers for p in layer]
+    assert is_hole(ambient, [arc.start, arc.end, out.start, out.end])
+    assert is_empty_arc(out, DECOMP)
 
 
 def test_follower_requires_empty_arc():

@@ -38,6 +38,11 @@ def test_validate_points_rejects_non_integers():
         validate_points([(1, 2, 3)])
 
 
+def test_validate_points_rejects_bool_coordinates():
+    with pytest.raises(GeometryError):
+        validate_points([(True, False)])
+
+
 def test_canonical_sorts_lexicographically():
     assert canonical([(2, 1), (0, 5), (0, 2)]) == [(0, 2), (0, 5), (2, 1)]
 

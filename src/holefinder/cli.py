@@ -53,26 +53,27 @@ def load_point_file(path: str) -> list[Point]:
     lines ignored; duplicates rejected with their line numbers."""
     pts: list[Point] = []
     seen: dict[Point, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
-            try:
-                p = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise PointFileError(
-                    f"line {lineno}: coordinates must be decimal integers"
-                )
-            if p in seen:
-                raise PointFileError(
-                    f"line {lineno}: duplicate of point on line {seen[p]}"
-                )
-            seen[p] = lineno
-            pts.append(p)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PointFileError(f"byte {exc.start}: not UTF-8 text") from None
+    # Reading translates every line ending to "\n", as line iteration does.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
+        try:
+            p = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise PointFileError(f"line {lineno}: coordinates must be decimal integers")
+        if p in seen:
+            raise PointFileError(f"line {lineno}: duplicate of point on line {seen[p]}")
+        seen[p] = lineno
+        pts.append(p)
     if not pts:
         raise PointFileError("no points in file")
     return pts
@@ -264,7 +265,7 @@ def verify(input_file: str, certificate_file: str) -> None:
         pts = load_point_file(input_file)
         with open(certificate_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (GeometryError, json.JSONDecodeError, OSError) as exc:
+    except (GeometryError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     problem = _verify_document(pts, doc)
@@ -297,6 +298,8 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
     ambient = set(pts)
     if not all(p in ambient for p in cert_pts):
         return "certificate point not in the point set"
+    if len(set(cert_pts)) != len(cert_pts):
+        return "duplicate certificate points"
     if doc["kind"] == "collinear":
         if len(cert_pts) < doc["parameter"]:
             return "fewer points than the stated collinearity"
@@ -306,10 +309,10 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
             return "points are not collinear"
         return None if cert.verify(pts) else "collinearity check failed"
     if doc["kind"] == "hole":
-        if len(set(cert_pts)) != len(cert_pts):
-            return "duplicate certificate points"
         if len(cert_pts) != doc["parameter"]:
             return "point count disagrees with the stated parameter"
+        if len(cert_pts) < 3:
+            return "a hole has at least 3 points"
         if not is_strictly_convex_position(cert_pts):
             return "not strictly convex"
         if not is_hole(pts, cert_pts):

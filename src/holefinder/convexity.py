@@ -125,7 +125,7 @@ def in_closed_hull(p: Point, hull: HullBoundary) -> bool:
     if len(corners) == 1:
         return p == corners[0]
     if len(corners) == 2:
-        return p in corners or on_closed_segment(p, corners[0], corners[1])
+        return on_closed_segment(p, corners[0], corners[1])
     for i in range(len(corners)):
         a = corners[i]
         b = corners[(i + 1) % len(corners)]
@@ -143,113 +143,94 @@ def find_convex_position_subset(
 ) -> Optional[list[Point]]:
     """A k-point subset in (strictly) convex position, or None.
 
-    Exhaustive: chains of strict hull corners are grown in angle order around
-    each candidate base point, and in the non-strict case collinear points on
-    the closed polygon edges count toward the target size.  A None answer is
-    therefore a proof of non-existence.
+    The search is exhaustive, so a None answer is a proof of non-existence.
+    """
+    found = _convex_subset(canonical(validate_points(points)), strict, k)
+    return found if len(found) >= k else None
+
+
+def max_convex_position_subset(
+    points: Sequence[Point], cap: Optional[int] = None
+) -> list[Point]:
+    """Maximum-cardinality subset in (non-strict) convex position.
+
+    With ``cap`` the search stops at the first subset of ``cap`` points, so
+    the answer is either ``cap`` points or a maximum subset.
     """
     pts = canonical(validate_points(points))
-    if k < 1:
-        raise GeometryError("subset size must be positive")
-    if k == 1:
-        return pts[:1] if pts else None
-    if k == 2:
-        return pts[:2] if len(pts) >= 2 else None
-    if not strict:
-        count, witness = max_collinear(pts)
-        if count >= k:
-            return witness[:k]
-
-    for idx, base in enumerate(pts):
-        cand = angle_order(base, pts[idx + 1 :])
-        found = _grow_corner_chain(pts, base, cand, k, strict)
-        if found is not None:
-            if len(found) > k:
-                # Any subset of a convex-position set stays in convex position.
-                found = found[:k]
-            return canonical(found)
-    return None
-
-
-def _grow_corner_chain(
-    pts: list[Point], base: Point, cand: list[Point], k: int, strict: bool
-) -> Optional[list[Point]]:
-    """DFS for a strictly convex corner cycle through base reaching k points.
-
-    In strict mode the cycle itself must have k corners.  In non-strict mode
-    points of ``pts`` lying on the closed cycle edges are counted (and
-    returned) too, so polygons with collinear boundary runs are found.
-    """
-    n = len(cand)
-    interior_cache: dict[tuple[Point, Point], list[Point]] = {}
-
-    def edge_interior(a: Point, b: Point) -> list[Point]:
-        key = (a, b)
-        if key not in interior_cache:
-            interior_cache[key] = [
-                p for p in pts if p not in (a, b) and on_closed_segment(p, a, b)
-            ]
-        return interior_cache[key]
-
-    def closed_total(chain: list[Point]) -> Optional[list[Point]]:
-        """The full point set of the closed polygon, if the closure is valid
-        and reaches the target size."""
-        if len(chain) < 3:
-            return None
-        if cross(chain[-2], chain[-1], base) <= 0:
-            return None
-        if cross(chain[-1], base, chain[1]) <= 0:
-            return None
-        if strict:
-            return chain if len(chain) == k else None
-        total = list(chain)
-        for a, b in zip(chain, chain[1:] + [base]):
-            total.extend(edge_interior(a, b))
-        return total if len(total) >= k else None
-
-    def extend(chain: list[Point], start: int) -> Optional[list[Point]]:
-        res = closed_total(chain)
-        if res is not None:
-            return res
-        if strict and len(chain) == k:
-            return None
-        for i in range(start, n):
-            p = cand[i]
-            if len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
-                continue
-            res = extend(chain + [p], i + 1)
-            if res is not None:
-                return res
-        return None
-
-    return extend([base], 0)
-
-
-def max_convex_position_subset(points: Sequence[Point]) -> list[Point]:
-    """Maximum-cardinality subset in (non-strict) convex position."""
-    return _max_convex_subset(points, strict=False)
+    return _convex_subset(pts, False, len(pts) + 1 if cap is None else cap)
 
 
 def max_strictly_convex_subset(points: Sequence[Point]) -> list[Point]:
     """Maximum-cardinality subset in strictly convex position."""
-    return _max_convex_subset(points, strict=True)
-
-
-def _max_convex_subset(points: Sequence[Point], strict: bool) -> list[Point]:
     pts = canonical(validate_points(points))
-    if len(pts) < 3:
-        raise GeometryError("need at least 3 points")
-    best: list[Point] = pts[:2]
+    return _convex_subset(pts, True, len(pts) + 1)
+
+
+def _convex_subset(pts: list[Point], strict: bool, target: int) -> list[Point]:
+    """The first subset of the canonical ``pts`` in (strictly) convex position
+    met with ``target`` points, else the largest one met; canonical order.
+
+    Up to two points, then (non-strict only) the longest collinear run, come
+    first.  Then, for each base point in turn, chains of strict corners are
+    grown depth first over the later points in angle order around the base.
+    A chain that turns convexly back to the base closes a polygon, whose
+    subset is its corners, followed in the non-strict case by the points of
+    ``pts`` on its closed edges, edge by edge.  Every (strictly) convex
+    position subset of three or more non-collinear points lies on such a
+    polygon, so an answer shorter than ``target`` is a maximum.
+    """
+    if target < 1:
+        raise GeometryError("subset size must be positive")
+    if target <= 2 or len(pts) <= 2:
+        return pts[:target]
+    best = pts[:2]
     if not strict:
         _, witness = max_collinear(pts)
         if len(witness) > len(best):
             best = witness
-    # The chain search is cheap when it succeeds; step the target size up.
-    for k in range(len(best) + 1, len(pts) + 1):
-        found = find_convex_position_subset(pts, k, strict=strict)
-        if found is None:
-            break
-        best = found
+        if len(best) >= target:
+            return best[:target]
+    # Points on each closed edge, less its ends; an edge recurs across bases.
+    edge_points: dict[tuple[Point, Point], list[Point]] = {}
+    for idx, base in enumerate(pts):
+        cand = angle_order(base, pts[idx + 1 :])
+        m = len(cand)
+        chain = [base]
+        # nxt[d]: the next candidate to try after chain[d], in preorder.
+        nxt = [0]
+        while nxt:
+            i = nxt[-1]
+            if i == m or (strict and len(chain) == target):
+                nxt.pop()
+                chain.pop()
+                continue
+            nxt[-1] = i + 1
+            p = cand[i]
+            if len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                continue
+            chain.append(p)
+            nxt.append(i + 1)
+            # The turn at the base needs no test: the candidates lie within a
+            # half-turn above it, and chain[1], chain[2], p come in strictly
+            # increasing angle, since a chain never runs straight on.
+            if len(chain) < 3 or cross(chain[-2], p, base) <= 0:
+                continue
+            found = list(chain)
+            if not strict:
+                for edge in zip(chain, chain[1:] + [base]):
+                    if edge not in edge_points:
+                        a, b = edge
+                        edge_points[edge] = [
+                            q for q in pts
+                            if q not in edge and on_closed_segment(q, a, b)
+                        ]
+                    found.extend(edge_points[edge])
+            if len(found) >= target:
+                # Any subset of a convex-position set stays in convex position.
+                return canonical(found[:target])
+            if len(found) > len(best):
+                best = found
     return canonical(best)
 
 
@@ -339,20 +320,18 @@ def strictly_convex_subset_in_convex_position(
     return result
 
 
-def _sides(pts: list[Point]) -> tuple[list[Point], list[list[Point]]]:
-    """Boundary order and the per-side point lists (sides share corners)."""
-    hull = convex_hull(pts)
-    boundary = list(hull.boundary)
-    corners = list(hull.corners)
+def _sides(hull: HullBoundary) -> list[list[Point]]:
+    """The per-side point lists of the hull (sides share corners)."""
+    corners = hull.corners
     m = len(corners)
     sides = []
     for i in range(m):
         a = corners[i]
         b = corners[(i + 1) % m]
-        side = [p for p in boundary if on_closed_segment(p, a, b)]
+        side = [p for p in hull.boundary if on_closed_segment(p, a, b)]
         side.sort(key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2)
         sides.append(side)
-    return boundary, sides
+    return sides
 
 
 def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
@@ -365,7 +344,8 @@ def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
         # No three collinear: the whole set is strictly convex.
         return pts[:k]
 
-    boundary, sides = _sides(pts)
+    boundary = hull.boundary
+    sides = _sides(hull)
     m = len(sides)
 
     for side in sides:
@@ -374,7 +354,7 @@ def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
             inner = _select_strict(rest, k - 2, ell)
             return inner + side[1:3]
 
-    for i, side in enumerate(sides):
+    for side in sides:
         if len(side) == 2:
             v, w = side
             n = len(boundary)
@@ -394,7 +374,7 @@ def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
 
     # Every side holds exactly 3 points: take all side midpoints plus every
     # second corner (omitting two consecutive corners when m is odd).
-    corners = list(convex_hull(pts).corners)
+    corners = hull.corners
     mids = [side[1] for side in sides]
     if m % 2 == 0:
         chosen = [corners[i] for i in range(0, m, 2)]
@@ -450,7 +430,7 @@ def _smaller_convex_subset(
                 if best is None or _hull_measure(window) < _hull_measure(best):
                     best = window
         return best
-    for i, a in enumerate(inside):
+    for a in inside:
         for b in inside:
             if a == b:
                 continue

@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 from .convexity import (
     LayerDecomposition,
     convex_hull,
-    find_convex_position_subset,
     in_closed_hull,
     k_minimal_convex_subset,
     max_convex_position_subset,
@@ -243,12 +242,9 @@ def _run_machinery(
 ) -> Optional[ExtractionResult]:
     """The layer/arc/follower walk; None means fall back to complete search."""
     k_default = params.k if params.k is not None else threshold_k(ell)
-    probe = find_convex_position_subset(pts, min(k_default, len(pts)))
-    if probe is not None:
-        k = min(k_default, len(pts))
-    else:
-        largest = max_convex_position_subset(pts) if len(pts) >= 3 else []
-        k = len(largest)
+    cap = min(k_default, len(pts))
+    k = len(max_convex_position_subset(pts, cap=cap))
+    if k < cap:
         trace.append(TraceStep("reduced-k", {"k": k, "requested": k_default}))
     if k < 5:
         trace.append(TraceStep("machinery-skipped", {"reason": "k < 5", "k": k}))

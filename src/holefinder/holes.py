@@ -69,7 +69,7 @@ class CollinearCertificate:
         ambient_set = set(ambient)
         if any(p not in ambient_set for p in self.points):
             return False
-        if len(self.points) != self.ell or self.ell < 2:
+        if not len(self.points) == len(set(self.points)) == self.ell >= 2:
             return False
         a, b = self.points[0], self.points[-1]
         return all(p in (a, b) or cross(a, b, p) == 0 for p in self.points)

@@ -218,6 +218,7 @@ def batch_extractions():
     return batch
 
 
+@pytest.mark.slow
 def test_criterion_8_extractor_matches_oracle(batch_extractions):
     for ell, pts, result in batch_extractions:
         if isinstance(result.outcome, Inconclusive):
@@ -338,6 +339,7 @@ def test_criterion_10_perturbation():
 # --- 11. consecutive layer sizes ----------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_11_layer_inequality(batch_extractions):
     engineered = [
         (4, HEPTAGON + [(32, 10), (34, 21), (34, 35), (40, 24), (44, 28), (46, 18), (56, 22)], 7),

@@ -4,9 +4,18 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holefinder.cli import load_point_file, main, write_point_file
-from holefinder.geometry import GeometryError
+from holefinder.cli import (
+    PointFileError,
+    _verify_document,
+    load_point_file,
+    main,
+    write_point_file,
+)
+from holefinder.geometry import GeometryError, max_collinear
+from holefinder.holes import is_hole
 
 
 @pytest.fixture
@@ -53,6 +62,27 @@ def test_point_file_round_trip(tmp_path):
     assert load_point_file(path) == [(1, 2), (-3, 4)]
 
 
+POINT_FILE_PIECES = [
+    b"0", b"7", b"-2", b"10", b" ", b"\t", b"\n", b"\r", b"#", b"x", b"\xff", b"\xc3",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.binary(max_size=40)
+    | st.lists(st.sampled_from(POINT_FILE_PIECES), max_size=30).map(b"".join)
+)
+def test_load_point_file_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(data)
+    try:
+        pts = load_point_file(str(path))
+    except PointFileError:
+        return
+    assert pts and all(type(x) is int and type(y) is int for x, y in pts)
+    assert len(set(pts)) == len(pts)
+
+
 # --- analyze ------------------------------------------------------------
 
 
@@ -71,6 +101,22 @@ def test_analyze_rejects_bad_file(tmp_path, runner):
     path = write(tmp_path, "bad.txt", "zap\n")
     result = runner.invoke(main, ["analyze", path])
     assert result.exit_code == 2
+
+
+def test_analyze_two_points(tmp_path, runner):
+    path = write(tmp_path, "two.txt", "0 0\n3 1\n")
+    result = runner.invoke(main, ["analyze", path])
+    assert result.exit_code == 0
+    assert "max_convex_subset: 2" in result.output
+    assert "max_strictly_convex_subset: 2" in result.output
+
+
+def test_analyze_rejects_undecodable_file(tmp_path, runner):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff")
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2
+    assert "not UTF-8" in result.output
 
 
 def test_analyze_budget_refusal_on_large_input(tmp_path, runner):
@@ -120,6 +166,14 @@ def test_extract_inconclusive_exit_code(tmp_path, runner):
     doc = json.loads(result.output)
     assert doc["kind"] == "inconclusive"
     assert doc["exhausted"] is False
+
+
+def test_extract_rejects_undecodable_file(tmp_path, runner):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff")
+    result = runner.invoke(main, ["extract", str(path), "--ell", "3"])
+    assert result.exit_code == 2
+    assert "not UTF-8" in result.output
 
 
 def test_extract_rejects_bad_ell(tmp_path, runner):
@@ -225,6 +279,75 @@ def test_verify_rejects_malformed_json(tmp_path, runner):
     cert = write(tmp_path, "cert.json", "{not json")
     result = runner.invoke(main, ["verify", path, cert])
     assert result.exit_code == 2
+
+
+def test_verify_rejects_undecodable_certificate(tmp_path, runner):
+    path = write(tmp_path, "p.txt", PENTA_TEXT)
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(b"\xff")
+    result = runner.invoke(main, ["verify", path, str(cert)])
+    assert result.exit_code == 2
+
+
+# The pentagon file plus a point that makes three collinear.
+FUZZ_POINTS = [(0, 0), (10, 0), (13, 9), (5, 15), (-3, 9), (30, 30), (20, 0)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def certificate_like(draw):
+    """Documents shaped like certificates, so that every check of the
+    verifier is reached, not only the first few."""
+    points = draw(
+        st.lists(
+            st.sampled_from(FUZZ_POINTS).map(list)
+            | st.lists(st.integers(-3, 31), min_size=2, max_size=2),
+            max_size=7,
+        )
+    )
+    doc = {
+        "kind": draw(st.sampled_from(["collinear", "hole"]) | JSON_VALUES),
+        "parameter": draw(st.just(len(points)) | st.integers(-1, 7) | JSON_VALUES),
+        "points": draw(st.just(points) | JSON_VALUES),
+        "tool_version": draw(JSON_VALUES),
+    }
+    for field in ("verified", "trace"):
+        if draw(st.booleans()):
+            doc[field] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES | certificate_like())
+def test_verify_document_fuzz(doc):
+    doc = json.loads(json.dumps(doc))
+    problem = _verify_document(FUZZ_POINTS, doc)
+    assert problem is None or isinstance(problem, str)
+    if problem is None:
+        # Accepted: distinct points of the set that meet the stated claim.
+        cert = [tuple(p) for p in doc["points"]]
+        assert len(set(cert)) == len(cert) and set(cert) <= set(FUZZ_POINTS)
+        if doc["kind"] == "hole":
+            assert len(cert) == doc["parameter"] and is_hole(FUZZ_POINTS, cert)
+        else:
+            assert len(cert) >= max(doc["parameter"], 2)
+            assert max_collinear(cert)[0] == len(cert)
+
+
+def test_verify_rejects_duplicate_collinear_points(tmp_path, runner):
+    path = write(tmp_path, "p.txt", PENTA_TEXT)
+    doc = {"kind": "collinear", "parameter": 3, "points": [[0, 0], [0, 0], [13, 9]],
+           "tool_version": "1.0.0"}
+    cert = write(tmp_path, "cert.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert])
+    assert result.exit_code == 1
+    assert "duplicate certificate points" in result.output
 
 
 # --- bounds -------------------------------------------------------------

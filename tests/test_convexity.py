@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holefinder.convexity import (
     convex_hull,
@@ -18,6 +20,7 @@ from holefinder.convexity import (
     strictly_convex_subset_in_convex_position,
 )
 from holefinder.geometry import GeometryError, max_collinear
+from holefinder.oracle import oracle_max_convex_subset
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
 SQUARE_EDGE = SQUARE + [(2, 0)]  # extra point on the bottom edge
@@ -79,6 +82,44 @@ def test_max_subsets_on_grid():
     assert len(max_strictly_convex_subset(grid)) == 6  # hexagon in the 3x3 grid
 
 
+def test_max_convex_position_subset_cap():
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    assert len(max_convex_position_subset(grid, cap=5)) == 5
+    assert len(max_convex_position_subset(grid, cap=9)) == 8
+    with pytest.raises(GeometryError):
+        max_convex_position_subset(grid, cap=0)
+
+
+# Small lattice boxes make collinear runs common.
+LATTICE_SETS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)),
+    min_size=1,
+    max_size=10,
+    unique=True,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATTICE_SETS)
+def test_convex_search_matches_oracle(pts):
+    for strict in (False, True):
+        size = oracle_max_convex_subset(pts, strict=strict)
+        if strict:
+            largest = max_strictly_convex_subset(pts)
+            in_position = is_strictly_convex_position
+        else:
+            largest = max_convex_position_subset(pts)
+            in_position = is_convex_position
+        assert len(largest) == size and set(largest) <= set(pts)
+        assert in_position(largest)
+        for k in range(1, len(pts) + 2):
+            found = find_convex_position_subset(pts, k, strict=strict)
+            assert (found is not None) == (k <= size)
+            if found is not None:
+                assert len(set(found)) == k and set(found) <= set(pts)
+                assert in_position(found)
+
+
 def test_q_formula_values():
     assert q_formula(5, 3) == 5  # q(k,3) = k
     assert q_formula(3, 4) == 4  # q(3,ell) = ell
@@ -134,6 +175,7 @@ def test_k_minimal_accepts_collinear_triples():
     assert len(out) == 3
 
 
+@pytest.mark.slow
 def test_convex_layers_profile_5x5():
     grid = [(x, y) for x in range(5) for y in range(5)]
     decomposition = convex_layers(grid, 5, 16)

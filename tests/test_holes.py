@@ -67,6 +67,9 @@ def test_collinear_certificate_round_trip():
     assert cert.points == ((0, 0), (1, 1), (2, 2))
     assert cert.verify([(0, 0), (1, 1), (2, 2), (5, 0)])
     assert not cert.verify([(0, 0), (1, 1), (5, 0)])  # (2,2) missing
+    # A repeated point does not count twice.
+    twice = CollinearCertificate.build([(0, 0), (0, 0), (5, 0)])
+    assert not twice.verify([(0, 0), (1, 1), (5, 0)])
 
 
 def test_collinear_certificate_rejects_non_collinear():

@@ -7,6 +7,7 @@ Exit codes: 0 success / certificate found, 1 verification failure,
 from __future__ import annotations
 
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -41,6 +42,8 @@ from .oracle import DEFAULT_BUDGET
 
 ANALYZE_SUBSET_LIMIT = 40
 
+DECIMAL = re.compile("[+-]?[0-9]+")
+
 CERTIFICATE_FIELDS = {"kind", "parameter", "points", "verified", "trace", "tool_version"}
 
 
@@ -66,10 +69,10 @@ def load_point_file(path: str) -> list[Point]:
         parts = line.split()
         if len(parts) != 2:
             raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
-        try:
-            p = (int(parts[0]), int(parts[1]))
-        except ValueError:
+        # int() would also take underscores and non-ASCII digits.
+        if not all(DECIMAL.fullmatch(part) for part in parts):
             raise PointFileError(f"line {lineno}: coordinates must be decimal integers")
+        p = (int(parts[0]), int(parts[1]))
         if p in seen:
             raise PointFileError(f"line {lineno}: duplicate of point on line {seen[p]}")
         seen[p] = lineno

@@ -396,14 +396,22 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
 
     Descends by hull area: while some k-subset in convex position fits inside
     a halfplane cutting off a corner of the current hull, replace and repeat.
+
+    A set with no k points in convex position has no subset with k such
+    points, so the descent keeps, as bitmasks over ``pts``, the halfplane
+    point sets it has refuted and searches no set inside one of them again.
+    Every skipped search would have failed, and the halfplanes are still
+    tried in the same order, so the same replacement is found at each step.
     """
     pts = canonical(validate_points(points))
     current = find_convex_position_subset(pts, k)
     if current is None:
         raise GeometryError(f"no {k} points in convex position")
+    bits = {p: 1 << i for i, p in enumerate(pts)}
+    refuted: list[int] = []
     measure = _hull_measure(current)
     while True:
-        replacement = _smaller_convex_subset(pts, current, k)
+        replacement = _smaller_convex_subset(pts, current, k, bits, refuted)
         if replacement is None:
             return canonical(current)
         new_measure = _hull_measure(replacement)
@@ -413,10 +421,18 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
 
 
 def _smaller_convex_subset(
-    pts: list[Point], current: list[Point], k: int
+    pts: list[Point],
+    current: list[Point],
+    k: int,
+    bits: dict[Point, int],
+    refuted: list[int],
 ) -> Optional[list[Point]]:
     """A >= k convex-position subset with hull properly inside the current
-    hull, or None if none exists."""
+    hull, or None if none exists.
+
+    Halfplane point sets inside a set of ``refuted`` (masks of ``bits``) are
+    skipped; each newly refuted set is added to it.
+    """
     hull = convex_hull(current)
     inside = [p for p in pts if in_closed_hull(p, hull)]
     corners = hull.corners
@@ -439,9 +455,13 @@ def _smaller_convex_subset(
             half = [q for q in inside if cross(a, b, q) >= 0]
             if len(half) < k:
                 continue
+            mask = sum(bits[q] for q in half)
+            if any(mask | r == r for r in refuted):
+                continue
             found = find_convex_position_subset(half, k)
             if found is not None:
                 return found
+            refuted.append(mask)
     return None
 
 

@@ -46,7 +46,7 @@ def threshold_k(ell: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """Oriented edge between clockwise-consecutive points of a layer."""
 
@@ -55,14 +55,14 @@ class Arc:
     layer_index: int  # 1-based
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionParams:
     ell: int
     k: Optional[int] = None
     oracle_fallback: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inconclusive:
     """No certificate.
 
@@ -75,13 +75,13 @@ class Inconclusive:
     exhausted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     kind: str
     detail: dict
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionResult:
     outcome: Union[CollinearCertificate, HoleCertificate, Inconclusive]
     trace: list[TraceStep] = field(default_factory=list)

@@ -29,7 +29,7 @@ class InconclusiveError(RuntimeError):
     """Raised when neither certificate can be produced within search bounds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoleCertificate:
     """k points in strictly convex position (clockwise) with an empty hull."""
 
@@ -45,10 +45,13 @@ class HoleCertificate:
         return cls(tuple(cw), len(vertices))
 
     def verify(self, ambient: Sequence[Point]) -> bool:
-        return len(self.vertices) == self.k and is_hole(ambient, self.vertices)
+        vertices = self.vertices
+        if not len(set(vertices)) == len(vertices) == self.k:
+            return False  # a repeated vertex is no hole
+        return is_hole(ambient, vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollinearCertificate:
     """ell collinear points, ordered along their common line."""
 

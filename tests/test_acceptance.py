@@ -12,6 +12,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+import holefinder.convexity
 import holefinder.extractor
 from holefinder.cli import main
 from holefinder.convexity import (
@@ -53,6 +54,8 @@ from holefinder.holes import (
     visibility_graph,
 )
 from holefinder.oracle import OracleBudget, oracle_k_hole, oracle_max_convex_subset
+
+from convex_reference import reference_convex_subset, reference_k_minimal_convex_subset
 
 PAIRS = [(k, ell) for ell in range(3, 7) for k in range(3, 10)]
 
@@ -216,6 +219,22 @@ def batch_extractions():
             continue
         batch.append((ell, pts, extract(pts, ExtractionParams(ell=ell))))
     return batch
+
+
+def test_extract_traces_match_reference_search(monkeypatch):
+    cases = [_random_instance(seed) for seed in range(40)]
+    cases = [(ell, pts) for ell, pts in cases if len(pts) >= 3]
+    results = [extract(pts, ExtractionParams(ell=ell)) for ell, pts in cases]
+    monkeypatch.setattr(holefinder.convexity, "_convex_subset", reference_convex_subset)
+    monkeypatch.setattr(
+        holefinder.extractor,
+        "k_minimal_convex_subset",
+        reference_k_minimal_convex_subset,
+    )
+    for (ell, pts), result in zip(cases, results):
+        expected = extract(pts, ExtractionParams(ell=ell))
+        assert result.trace == expected.trace
+        assert result.outcome == expected.outcome
 
 
 @pytest.mark.slow

@@ -56,6 +56,17 @@ def test_load_point_file_reports_line_numbers(tmp_path):
         load_point_file(path)
 
 
+@pytest.mark.parametrize("text", ["1_0 2\n", "1 \uff12\n"])  # underscore, fullwidth 2
+def test_load_point_file_takes_ascii_decimals_only(tmp_path, runner, text):
+    path = tmp_path / "a.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PointFileError, match="line 1: .* decimal integers"):
+        load_point_file(str(path))
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2
+    assert "decimal integers" in result.output
+
+
 def test_point_file_round_trip(tmp_path):
     path = str(tmp_path / "out.txt")
     write_point_file(path, [(1, 2), (-3, 4)])

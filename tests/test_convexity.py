@@ -22,6 +22,12 @@ from holefinder.convexity import (
 from holefinder.geometry import GeometryError, max_collinear
 from holefinder.oracle import oracle_max_convex_subset
 
+from convex_reference import (
+    reference_convex_subset,
+    reference_find,
+    reference_k_minimal_convex_subset,
+)
+
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
 SQUARE_EDGE = SQUARE + [(2, 0)]  # extra point on the bottom edge
 SQUARE_CENTER = SQUARE + [(2, 2)]
@@ -120,6 +126,35 @@ def test_convex_search_matches_oracle(pts):
                 assert in_position(found)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 3)),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    )
+)
+def test_convex_search_matches_reference(pts):
+    canon = sorted(pts)
+    n = len(pts)
+    for strict in (False, True):
+        for k in range(1, n + 2):
+            assert find_convex_position_subset(pts, k, strict) == reference_find(
+                pts, k, strict
+            )
+    assert max_strictly_convex_subset(pts) == reference_convex_subset(canon, True, n + 1)
+    assert max_convex_position_subset(pts) == reference_convex_subset(canon, False, n + 1)
+    for cap in range(1, n + 2):
+        assert max_convex_position_subset(pts, cap=cap) == reference_convex_subset(
+            canon, False, cap
+        )
+    for k in range(1, n + 1):
+        if reference_find(pts, k) is None:
+            break
+        assert k_minimal_convex_subset(pts, k) == reference_k_minimal_convex_subset(pts, k)
+
+
 def test_q_formula_values():
     assert q_formula(5, 3) == 5  # q(k,3) = k
     assert q_formula(3, 4) == 4  # q(3,ell) = ell
@@ -175,7 +210,6 @@ def test_k_minimal_accepts_collinear_triples():
     assert len(out) == 3
 
 
-@pytest.mark.slow
 def test_convex_layers_profile_5x5():
     grid = [(x, y) for x in range(5) for y in range(5)]
     decomposition = convex_layers(grid, 5, 16)

@@ -62,6 +62,12 @@ def test_hole_certificate_clockwise_order():
     assert cert.vertices[0] == min(cert.vertices)
 
 
+def test_hole_certificate_rejects_repeated_vertex():
+    pentagon = [(0, 0), (10, 0), (13, 9), (5, 15), (-3, 9)]
+    cert = HoleCertificate(vertices=((0, 0), (0, 0), (10, 0), (13, 9)), k=4)
+    assert cert.verify(pentagon) is False
+
+
 def test_collinear_certificate_round_trip():
     cert = CollinearCertificate.build([(0, 0), (2, 2), (1, 1)])
     assert cert.points == ((0, 0), (1, 1), (2, 2))

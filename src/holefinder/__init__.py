@@ -37,7 +37,6 @@ from .convexity import (
     is_strictly_convex_position,
     k_minimal_convex_subset,
     max_convex_position_subset,
-    max_general_position_subset,
     max_strictly_convex_subset,
     peel_layers,
     q_formula,
@@ -55,7 +54,6 @@ from .holes import (
     find_visible_5_clique,
     is_crossing_free,
     is_hole,
-    min_area_five_hole,
     same_order_type,
     visibility_graph,
 )

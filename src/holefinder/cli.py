@@ -72,7 +72,10 @@ def load_point_file(path: str) -> list[Point]:
         # int() would also take underscores and non-ASCII digits.
         if not all(DECIMAL.fullmatch(part) for part in parts):
             raise PointFileError(f"line {lineno}: coordinates must be decimal integers")
-        p = (int(parts[0]), int(parts[1]))
+        try:
+            p = (int(parts[0]), int(parts[1]))
+        except ValueError:  # past the interpreter's int conversion digit limit
+            raise PointFileError(f"line {lineno}: coordinate has too many digits") from None
         if p in seen:
             raise PointFileError(f"line {lineno}: duplicate of point on line {seen[p]}")
         seen[p] = lineno
@@ -268,7 +271,9 @@ def verify(input_file: str, certificate_file: str) -> None:
         pts = load_point_file(input_file)
         with open(certificate_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (GeometryError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    # ValueError covers GeometryError, malformed or undecodable JSON and
+    # integers past the interpreter's conversion digit limit.
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     problem = _verify_document(pts, doc)

@@ -17,6 +17,7 @@ from .geometry import (
     angle_order,
     canonical,
     cross,
+    in_closed_triangle,
     max_collinear,
     on_closed_segment,
     validate_points,
@@ -167,7 +168,9 @@ def max_strictly_convex_subset(points: Sequence[Point]) -> list[Point]:
     return _convex_subset(pts, True, len(pts) + 1)
 
 
-def _convex_subset(pts: list[Point], strict: bool, target: int) -> list[Point]:
+def _convex_subset(
+    pts: list[Point], strict: bool, target: int, *, empty: bool = False
+) -> list[Point]:
     """The first subset of the canonical ``pts`` in (strictly) convex position
     met with ``target`` points, else the largest one met; canonical order.
 
@@ -179,6 +182,15 @@ def _convex_subset(pts: list[Point], strict: bool, target: int) -> list[Point]:
     ``pts`` on its closed edges, edge by edge.  Every (strictly) convex
     position subset of three or more non-collinear points lies on such a
     polygon, so an answer shorter than ``target`` is a maximum.
+
+    With ``empty`` (used strict, for holes) a chain enters ``p`` only when no
+    other point of ``pts`` lies in the closed fan triangle (base, chain[-1],
+    p), or, for the first edge, on the closed segment (base, p).  The closed
+    fan triangles of a polygon from its base cover the closed polygon, so
+    the polygons met are exactly the holes whose least vertex is the base:
+    each hole's fan from its least vertex has empty triangles, and no search
+    is lost.  The segment test only prunes early, since the first fan
+    triangle holds the first edge.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
@@ -207,7 +219,12 @@ def _convex_subset(pts: list[Point], strict: bool, target: int) -> list[Point]:
                 continue
             nxt[-1] = i + 1
             p = cand[i]
-            if len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+            if len(chain) >= 2:
+                if cross(chain[-2], chain[-1], p) <= 0:
+                    continue
+                if empty and not _triangle_clear(pts, base, chain[-1], p):
+                    continue
+            elif empty and not _segment_clear(pts, base, p):
                 continue
             chain.append(p)
             nxt.append(i + 1)
@@ -232,6 +249,17 @@ def _convex_subset(pts: list[Point], strict: bool, target: int) -> list[Point]:
             if len(found) > len(best):
                 best = found
     return canonical(best)
+
+
+def _segment_clear(pts: list[Point], a: Point, b: Point) -> bool:
+    """True iff no point of ``pts`` but a and b lies on the closed segment ab."""
+    return all(p in (a, b) or not on_closed_segment(p, a, b) for p in pts)
+
+
+def _triangle_clear(pts: list[Point], a: Point, b: Point, c: Point) -> bool:
+    """True iff no point of ``pts`` but a, b and c lies in the closed
+    triangle abc."""
+    return all(p in (a, b, c) or not in_closed_triangle(p, a, b, c) for p in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +547,3 @@ def convex_layers(points: Sequence[Point], ell: int, k: int) -> LayerDecompositi
     if ell < 2:
         raise GeometryError("convex_layers needs ell >= 2")
     return LayerDecomposition.build(pts, k_minimal_convex_subset(pts, k), ell, k)
-
-
-def max_general_position_subset(points: Sequence[Point]) -> list[Point]:
-    """A maximal (greedy, canonical order) subset with no three collinear."""
-    pts = canonical(validate_points(points))
-    if not pts:
-        raise GeometryError("need at least one point")
-    chosen: list[Point] = []
-    for p in pts:
-        if all(
-            cross(a, b, p) != 0
-            for i, a in enumerate(chosen)
-            for b in chosen[i + 1 :]
-        ):
-            chosen.append(p)
-    return chosen

@@ -21,7 +21,7 @@ from .geometry import (
     max_collinear,
     validate_points,
 )
-from .holes import EXCEPTIONAL_SIX, classify_no_four_hole, find_k_hole
+from .holes import EXCEPTIONAL_SIX, classify_no_four_hole
 
 
 def _loaded_polygon(
@@ -258,8 +258,3 @@ def random_convex_position(n: int, ell: int, seed: int) -> list[Point]:
         if max_collinear(pts)[0] < ell and is_convex_position(pts):
             return canonical(pts)
     raise GeometryError("could not realize random convex-position set")
-
-
-def grid_has_no_five_hole(m: int) -> bool:
-    """Exhaustively confirmed absence of a 5-hole in the m-by-m grid."""
-    return find_k_hole(grid(m), 5) is None

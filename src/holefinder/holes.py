@@ -10,16 +10,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .convexity import convex_hull, hull_twice_area, in_closed_hull
+from .convexity import _convex_subset, _segment_clear, convex_hull, in_closed_hull
 from .geometry import (
     GeometryError,
     Point,
-    angle_order,
     canonical,
     cross,
-    in_closed_triangle,
     max_collinear,
-    on_closed_segment,
     segments_cross_properly,
     validate_points,
 )
@@ -97,61 +94,17 @@ def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
 def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     """A k-hole of the point set, or None if there is none.
 
-    Complete: for each candidate bottom vertex, strictly convex chains are
-    grown in angle order with every fan triangle required to be empty of
-    other points, which prunes hard while missing nothing.
+    Complete: the convex-position walk ``convexity._convex_subset`` runs in
+    strict mode with every fan triangle from the base required to be empty
+    of other points, which prunes hard while missing nothing.
     """
     pts = canonical(validate_points(points))
     if k < 3:
         raise GeometryError("holes need k >= 3")
     if len(pts) < k:
         return None
-    for idx, base in enumerate(pts):
-        cand = angle_order(base, pts[idx + 1 :])
-        chain = _empty_chain(pts, base, cand, k)
-        if chain is not None:
-            return HoleCertificate.build(pts, chain)
-    return None
-
-
-def _empty_chain(
-    pts: list[Point], base: Point, cand: list[Point], k: int
-) -> Optional[list[Point]]:
-    """DFS for a strictly convex k-cycle through base whose fan triangles
-    from base contain no other point of pts."""
-    n = len(cand)
-
-    def triangle_clear(a: Point, b: Point, c: Point) -> bool:
-        return all(
-            p in (a, b, c) or not in_closed_triangle(p, a, b, c) for p in pts
-        )
-
-    def extend(chain: list[Point], start: int) -> Optional[list[Point]]:
-        if len(chain) == k:
-            if cross(chain[-2], chain[-1], base) > 0 and cross(
-                chain[-1], base, chain[1]
-            ) > 0:
-                return chain
-            return None
-        for i in range(start, n):
-            p = cand[i]
-            if len(chain) >= 2:
-                if cross(chain[-2], chain[-1], p) <= 0:
-                    continue
-                if not triangle_clear(base, chain[-1], p):
-                    continue
-            elif not _segment_clear(pts, base, p):
-                continue
-            res = extend(chain + [p], i + 1)
-            if res is not None:
-                return res
-        return None
-
-    return extend([base], 0)
-
-
-def _segment_clear(pts: list[Point], a: Point, b: Point) -> bool:
-    return all(p in (a, b) or not on_closed_segment(p, a, b) for p in pts)
+    found = _convex_subset(pts, True, k, empty=True)
+    return HoleCertificate.build(pts, found) if len(found) == k else None
 
 
 @dataclass(frozen=True)
@@ -197,36 +150,9 @@ def is_crossing_free(graph: VisibilityGraph) -> bool:
     return True
 
 
-def min_area_five_hole(
-    points: Sequence[Point], hole: HoleCertificate
-) -> HoleCertificate:
-    """Minimum-area 5-hole among those contained in the given 5-hole.
-
-    Ties go to the lexicographically least vertex list; areas are compared as
-    exact twice-area integers.
-    """
-    pts = canonical(validate_points(points))
-    if hole.k != 5 or not hole.verify(pts):
-        raise GeometryError("input certificate is not a 5-hole of the point set")
-    region = convex_hull(list(hole.vertices))
-    inside = [p for p in pts if in_closed_hull(p, region)]
-    best: Optional[tuple[int, list[Point], HoleCertificate]] = None
-    for combo in itertools.combinations(inside, 5):
-        sub = list(combo)
-        if not is_hole(pts, sub):
-            continue
-        area = hull_twice_area(convex_hull(sub).corners)
-        key = (area, canonical(sub))
-        if best is None or key < (best[0], best[1]):
-            best = (area, canonical(sub), HoleCertificate.build(pts, sub))
-    if best is None:
-        raise GeometryError("the input hole is not among its own refinements")
-    return best[2]
-
-
 def find_visible_5_clique(points: Sequence[Point], ell: int):
-    """ell collinear points if present, else the corners of a minimum-area
-    5-hole refinement, which are pairwise visible.
+    """ell collinear points if present, else the corners of a 5-hole, which
+    are pairwise visible.
 
     Returns a CollinearCertificate or a list of 5 points; raises
     InconclusiveError when neither certificate can be produced.
@@ -242,8 +168,7 @@ def find_visible_5_clique(points: Sequence[Point], ell: int):
         raise InconclusiveError(
             "no 5 collinear points and no 5-hole found; cannot certify a clique"
         )
-    refined = min_area_five_hole(pts, hole)
-    return list(refined.vertices)
+    return list(hole.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Reference convex-position search for differential tests.
+"""Reference convex-position and hole searches for differential tests.
 
-A copy of the chain DFS of ``convexity._convex_subset`` and of the k-minimal
+A copy of the chain DFS of ``convexity._convex_subset``, of the k-minimal
 descent, whose halfplane loop here searches every halfplane (the library
-skips those inside a set it has already refuted).  Any faster search must
-return exactly what these return.
+skips those inside a set it has already refuted), and of the recursive
+empty-chain hole search that ``find_k_hole`` ran before it moved onto the
+shared walk.  Any faster search must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from holefinder.geometry import (
     angle_order,
     canonical,
     cross,
+    in_closed_triangle,
     max_collinear,
     on_closed_segment,
     validate_points,
 )
+from holefinder.holes import HoleCertificate
 
 
 def reference_convex_subset(pts: list[Point], strict: bool, target: int) -> list[Point]:
@@ -123,3 +126,57 @@ def _reference_smaller_convex_subset(
             if found is not None:
                 return found
     return None
+
+
+def reference_k_hole(points, k: int) -> Optional[HoleCertificate]:
+    pts = canonical(validate_points(points))
+    if k < 3:
+        raise GeometryError("holes need k >= 3")
+    if len(pts) < k:
+        return None
+    for idx, base in enumerate(pts):
+        cand = angle_order(base, pts[idx + 1 :])
+        chain = _reference_empty_chain(pts, base, cand, k)
+        if chain is not None:
+            return HoleCertificate.build(pts, chain)
+    return None
+
+
+def _reference_empty_chain(
+    pts: list[Point], base: Point, cand: list[Point], k: int
+) -> Optional[list[Point]]:
+    """DFS for a strictly convex k-cycle through base whose fan triangles
+    from base contain no other point of pts."""
+    n = len(cand)
+
+    def triangle_clear(a: Point, b: Point, c: Point) -> bool:
+        return all(
+            p in (a, b, c) or not in_closed_triangle(p, a, b, c) for p in pts
+        )
+
+    def extend(chain: list[Point], start: int) -> Optional[list[Point]]:
+        if len(chain) == k:
+            if cross(chain[-2], chain[-1], base) > 0 and cross(
+                chain[-1], base, chain[1]
+            ) > 0:
+                return chain
+            return None
+        for i in range(start, n):
+            p = cand[i]
+            if len(chain) >= 2:
+                if cross(chain[-2], chain[-1], p) <= 0:
+                    continue
+                if not triangle_clear(base, chain[-1], p):
+                    continue
+            elif not _reference_segment_clear(pts, base, p):
+                continue
+            res = extend(chain + [p], i + 1)
+            if res is not None:
+                return res
+        return None
+
+    return extend([base], 0)
+
+
+def _reference_segment_clear(pts: list[Point], a: Point, b: Point) -> bool:
+    return all(p in (a, b) or not on_closed_segment(p, a, b) for p in pts)

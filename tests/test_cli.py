@@ -130,6 +130,17 @@ def test_analyze_rejects_undecodable_file(tmp_path, runner):
     assert "not UTF-8" in result.output
 
 
+# More digits than int() converts by default (4,300).
+OVERLONG = "1" * 5000
+
+
+def test_analyze_rejects_overlong_integer(tmp_path, runner):
+    path = write(tmp_path, "long.txt", f"0 0\n{OVERLONG} 2\n")
+    result = runner.invoke(main, ["analyze", path])
+    assert result.exit_code == 2
+    assert "line 2: coordinate has too many digits" in result.output
+
+
 def test_analyze_budget_refusal_on_large_input(tmp_path, runner):
     pts = "".join(f"{x} {y}\n" for x in range(7) for y in range(7))
     path = write(tmp_path, "grid.txt", pts)
@@ -185,6 +196,13 @@ def test_extract_rejects_undecodable_file(tmp_path, runner):
     result = runner.invoke(main, ["extract", str(path), "--ell", "3"])
     assert result.exit_code == 2
     assert "not UTF-8" in result.output
+
+
+def test_extract_rejects_overlong_integer(tmp_path, runner):
+    path = write(tmp_path, "long.txt", f"{OVERLONG} 2\n")
+    result = runner.invoke(main, ["extract", path, "--ell", "3"])
+    assert result.exit_code == 2
+    assert "line 1: coordinate has too many digits" in result.output
 
 
 def test_extract_rejects_bad_ell(tmp_path, runner):
@@ -297,6 +315,18 @@ def test_verify_rejects_undecodable_certificate(tmp_path, runner):
     cert = tmp_path / "cert.json"
     cert.write_bytes(b"\xff")
     result = runner.invoke(main, ["verify", path, str(cert)])
+    assert result.exit_code == 2
+
+
+def test_verify_rejects_overlong_integer_in_certificate(tmp_path, runner):
+    path = write(tmp_path, "p.txt", PENTA_TEXT)
+    cert = write(
+        tmp_path,
+        "cert.json",
+        f'{{"kind": "hole", "parameter": 3, "points": [[{OVERLONG}, 0], [10, 0],'
+        ' [13, 9]], "tool_version": "1.0.0"}',
+    )
+    result = runner.invoke(main, ["verify", path, cert])
     assert result.exit_code == 2
 
 

@@ -14,12 +14,11 @@ from holefinder.convexity import (
     is_strictly_convex_position,
     k_minimal_convex_subset,
     max_convex_position_subset,
-    max_general_position_subset,
     max_strictly_convex_subset,
     q_formula,
     strictly_convex_subset_in_convex_position,
 )
-from holefinder.geometry import GeometryError, max_collinear
+from holefinder.geometry import GeometryError
 from holefinder.oracle import oracle_max_convex_subset
 
 from convex_reference import (
@@ -228,10 +227,3 @@ def test_layers_disjoint_within_first_hull():
     assert set(seen) <= set(pts)
     first = convex_hull(list(decomposition.layers[0]))
     assert all(in_closed_hull(p, first) for p in seen)
-
-
-def test_max_general_position_subset():
-    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2)]
-    out = max_general_position_subset(pts)
-    assert max_collinear(out)[0] <= 2
-    assert len(out) >= 4

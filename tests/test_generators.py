@@ -10,7 +10,6 @@ from holefinder.generators import (
     eppstein_family,
     every_second_side,
     grid,
-    grid_has_no_five_hole,
     horton,
     random_bounded_collinear,
     random_convex_position,
@@ -50,12 +49,9 @@ def test_grid():
     pts = grid(3)
     assert len(pts) == 9
     assert max_collinear(pts)[0] == 3
+    assert find_k_hole(pts, 5) is None
     with pytest.raises(GeometryError):
         grid(1)
-
-
-def test_grid_has_no_five_hole_small():
-    assert grid_has_no_five_hole(3)
 
 
 def test_horton_structure():

@@ -1,5 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import holefinder.convexity
+from holefinder.convexity import _triangle_clear
+from holefinder.generators import grid, horton
 from holefinder.geometry import GeometryError
 from holefinder.holes import (
     EXCEPTIONAL_SIX,
@@ -11,10 +16,11 @@ from holefinder.holes import (
     find_visible_5_clique,
     is_crossing_free,
     is_hole,
-    min_area_five_hole,
     same_order_type,
     visibility_graph,
 )
+
+from convex_reference import reference_k_hole
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
 SQUARE_CENTER = SQUARE + [(2, 2)]
@@ -55,6 +61,38 @@ def test_find_k_hole_empty_triangle_blocked_by_edge_point():
     assert (2, 0) in cert.vertices or not is_hole(
         pts, [(0, 0), (4, 0), (0, 4)]
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 3)),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    )
+)
+@example(horton(16))
+@example(grid(5))
+def test_find_k_hole_matches_reference(pts):
+    for k in range(3, 8):
+        assert find_k_hole(pts, k) == reference_k_hole(pts, k)
+
+
+def test_find_k_hole_never_grows_a_blocked_first_edge(monkeypatch):
+    # The first fan triangle holds the first edge, so the segment test
+    # changes no answer; it stops a chain before any fan triangle on a
+    # blocked first edge is tested.
+    tested = []
+
+    def recording(pts, a, b, c):
+        tested.append((a, b))
+        return _triangle_clear(pts, a, b, c)
+
+    monkeypatch.setattr(holefinder.convexity, "_triangle_clear", recording)
+    pts = [(0, 0), (1, 0), (2, 0), (0, 2), (2, 2), (1, 3)]
+    assert find_k_hole(pts, 6) is None
+    assert tested and ((0, 0), (2, 0)) not in tested
 
 
 def test_hole_certificate_clockwise_order():
@@ -99,15 +137,6 @@ def test_crossing_free_iff_no_4_hole():
     # A 4-hole forces crossing diagonals; the exceptional set is crossing-free.
     assert not is_crossing_free(visibility_graph(SQUARE))
     assert is_crossing_free(visibility_graph(list(EXCEPTIONAL_SIX)))
-
-
-def test_min_area_five_hole_is_fixed_point():
-    pts = [(0, 0), (10, 0), (13, 9), (5, 15), (-3, 9), (30, 30)]
-    cert = find_k_hole(pts, 5)
-    assert cert is not None
-    refined = min_area_five_hole(pts, cert)
-    # Closed-hull emptiness leaves no strictly smaller 5-hole inside.
-    assert sorted(refined.vertices) == sorted(cert.vertices)
 
 
 def test_find_visible_5_clique_collinear_branch():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from math import floor, lgamma, log, log10
 from typing import Optional, Sequence
 
 import click
@@ -19,8 +20,7 @@ from .convexity import (
     es_bound,
     es_kl_bound,
     is_strictly_convex_position,
-    max_convex_position_subset,
-    max_strictly_convex_subset,
+    max_convex_subsets,
     peel_layers,
     q_formula,
 )
@@ -112,8 +112,8 @@ def certificate_document(cert, verified: bool, trace=None) -> dict:
 def _with_trace(doc: dict, trace) -> dict:
     """``doc`` with the trace steps added, unless ``trace`` is None.
 
-    Step details hold only string keys, ints, bools, strings and nested
-    lists or tuples of them, which ``json.dumps`` writes as they are.
+    Step details hold only string keys, ints, bools, None, strings and
+    nested lists or tuples of them, which ``json.dumps`` writes as they are.
     """
     if trace is not None:
         doc["trace"] = [{"kind": step.kind, "detail": step.detail} for step in trace]
@@ -149,10 +149,9 @@ def analyze(input_file: str) -> None:
     count, _ = max_collinear(pts)
     click.echo(f"max_collinear: {count}")
     if n <= ANALYZE_SUBSET_LIMIT:
-        click.echo(f"max_convex_subset: {len(max_convex_position_subset(pts))}")
-        click.echo(
-            f"max_strictly_convex_subset: {len(max_strictly_convex_subset(pts))}"
-        )
+        convex, strict = max_convex_subsets(pts)
+        click.echo(f"max_convex_subset: {len(convex)}")
+        click.echo(f"max_strictly_convex_subset: {len(strict)}")
     else:
         hull = convex_hull(pts)
         click.echo(f"max_convex_subset: >={len(hull.boundary)} (budget refused)")
@@ -337,6 +336,13 @@ def bounds(k: int, ell: int) -> None:
     if k < 3 or ell < 3:
         click.echo("error: bounds needs k >= 3 and ell >= 3", err=True)
         sys.exit(2)
+    if _bound_digits(k, ell) > sys.get_int_max_str_digits() > 0:
+        click.echo(
+            f"error: bounds for k={k}, ell={ell} pass the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing integers",
+            err=True,
+        )
+        sys.exit(2)
     click.echo(f"es_bound({k}) = {es_bound(k)}")
     b = es_kl_bound(k, ell)
     click.echo(f"es_kl_bound({k},{ell}) via convex position  = {b.via_convex_position}")
@@ -346,6 +352,26 @@ def bounds(k: int, ell: int) -> None:
     click.echo(f"threshold_k({ell}) = {threshold_k(ell)}")
     click.echo(f"quadrilateral_threshold({ell}) = {max(7, ell + 2)}")
     sys.exit(0)
+
+
+def _bound_digits(k: int, ell: int) -> int:
+    """Decimal digits of the longest number ``bounds k ell`` prints, from
+    logarithms, so that nothing too long to print is computed."""
+    if k > 10**15 or ell > 10**15:
+        return max(k // 2, ell)  # a lower bound, past the range of floats
+
+    def log10_es(m: int) -> float:  # log10(es_bound(m) - 1)
+        return (lgamma(2 * m - 4) - lgamma(m - 1) - lgamma(m - 2)) / log(10)
+
+    es_k = log10_es(k)
+    logs = [
+        es_k,
+        log10_es(q_formula(k, ell)),  # via convex position
+        ell * log10(2 * ell - 1) - log10(2 * ell - 2),  # threshold_k(ell)
+    ]
+    if ell > 3:  # via general position: (ell - 3) * comb(es_bound(k) - 1, 2) + ...
+        logs.append(log10(ell - 3) + 2 * es_k - log10(2))
+    return floor(max(logs)) + 1
 
 
 if __name__ == "__main__":

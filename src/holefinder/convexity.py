@@ -164,15 +164,30 @@ def max_convex_position_subset(
 
 def max_strictly_convex_subset(points: Sequence[Point]) -> list[Point]:
     """Maximum-cardinality subset in strictly convex position."""
+    return max_convex_subsets(points)[1]
+
+
+def max_convex_subsets(points: Sequence[Point]) -> tuple[list[Point], list[Point]]:
+    """Maximum-cardinality subsets in convex position and in strictly convex
+    position, in that order, from one walk."""
     pts = canonical(validate_points(points))
-    return _convex_subset(pts, True, len(pts) + 1)
+    return _convex_walk(pts, False, len(pts) + 1)
 
 
 def _convex_subset(
     pts: list[Point], strict: bool, target: int, *, empty: bool = False
 ) -> list[Point]:
+    """The first answer of ``_convex_walk``: with ``empty``, a hole of
+    ``target`` points, or ``pts[:2]`` when there is none."""
+    return _convex_walk(pts, strict, target, empty)[0]
+
+
+def _convex_walk(
+    pts: list[Point], strict: bool, target: int, empty: bool = False
+) -> tuple[list[Point], list[Point]]:
     """The first subset of the canonical ``pts`` in (strictly) convex position
-    met with ``target`` points, else the largest one met; canonical order.
+    met with ``target`` points, else the largest one met; and the largest
+    corner set of a closing chain met.  Both in canonical order.
 
     Up to two points, then (non-strict only) the longest collinear run, come
     first.  Then, for each base point in turn, chains of strict corners are
@@ -183,6 +198,12 @@ def _convex_subset(
     position subset of three or more non-collinear points lies on such a
     polygon, so an answer shorter than ``target`` is a maximum.
 
+    The second answer starts from ``pts[:2]`` and is the first closing chain
+    with the most corners.  A strict walk stops at ``target`` corners and
+    adds no edge points, and nothing else sets it apart: so a non-strict walk
+    with ``target`` past ``len(pts)`` meets every closing chain a strict one
+    meets, in the same order, and one max walk yields both maxima.
+
     With ``empty`` (used strict, for holes) a chain enters ``p`` only when no
     other point of ``pts`` lies in the closed fan triangle (base, chain[-1],
     p), or, for the first edge, on the closed segment (base, p).  The closed
@@ -190,19 +211,26 @@ def _convex_subset(
     the polygons met are exactly the holes whose least vertex is the base:
     each hole's fan from its least vertex has empty triangles, and no search
     is lost.  The segment test only prunes early, since the first fan
-    triangle holds the first edge.
+    triangle holds the first edge.  A fan triangle depends on nothing but
+    the base and its two other corners, so each base keeps its verdicts in a
+    dict keyed by the candidate indices of chain[-1] and p: the same
+    decisions come out in the same order, each computed once per base.
+    Only a chain of ``target`` corners is tested for closing, so with no
+    hole both answers are ``pts[:2]``.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
     if target <= 2 or len(pts) <= 2:
-        return pts[:target]
-    best = pts[:2]
+        return pts[:target], pts[:target]
+    best = corners = pts[:2]
     if not strict:
         _, witness = max_collinear(pts)
         if len(witness) > len(best):
             best = witness
         if len(best) >= target:
-            return best[:target]
+            return best[:target], corners
+    # A hole search reads only chains of target corners; others close at 3.
+    closing = target if empty else 3
     # Points on each closed edge, less its ends; an edge recurs across bases.
     edge_points: dict[tuple[Point, Point], list[Point]] = {}
     for idx, base in enumerate(pts):
@@ -210,7 +238,10 @@ def _convex_subset(
         m = len(cand)
         chain = [base]
         # nxt[d]: the next candidate to try after chain[d], in preorder.
+        # While chain[d + 1] is on the chain, nxt[d] - 1 is its index.
         nxt = [0]
+        # Fan-triangle verdicts, keyed by nxt[-2] * m + i (empty mode).
+        fan: dict[int, bool] = {}
         while nxt:
             i = nxt[-1]
             if i == m or (strict and len(chain) == target):
@@ -222,8 +253,13 @@ def _convex_subset(
             if len(chain) >= 2:
                 if cross(chain[-2], chain[-1], p) <= 0:
                     continue
-                if empty and not _triangle_clear(pts, base, chain[-1], p):
-                    continue
+                if empty:
+                    key = nxt[-2] * m + i
+                    clear = fan.get(key)
+                    if clear is None:
+                        clear = fan[key] = _triangle_clear(pts, base, chain[-1], p)
+                    if not clear:
+                        continue
             elif empty and not _segment_clear(pts, base, p):
                 continue
             chain.append(p)
@@ -231,8 +267,10 @@ def _convex_subset(
             # The turn at the base needs no test: the candidates lie within a
             # half-turn above it, and chain[1], chain[2], p come in strictly
             # increasing angle, since a chain never runs straight on.
-            if len(chain) < 3 or cross(chain[-2], p, base) <= 0:
+            if len(chain) < closing or cross(chain[-2], p, base) <= 0:
                 continue
+            if len(chain) > len(corners):
+                corners = list(chain)
             found = list(chain)
             if not strict:
                 for edge in zip(chain, chain[1:] + [base]):
@@ -245,10 +283,10 @@ def _convex_subset(
                     found.extend(edge_points[edge])
             if len(found) >= target:
                 # Any subset of a convex-position set stays in convex position.
-                return canonical(found[:target])
+                return canonical(found[:target]), canonical(corners)
             if len(found) > len(best):
                 best = found
-    return canonical(best)
+    return canonical(best), canonical(corners)
 
 
 def _segment_clear(pts: list[Point], a: Point, b: Point) -> bool:
@@ -309,11 +347,9 @@ def es_kl_bound(k: int, ell: int) -> EsKlBound:
     """Best of the two upper-bound routes for ES(k, ell)."""
     if k < 3 or ell < 3:
         raise GeometryError("es_kl_bound needs k >= 3 and ell >= 3")
-    if k % 2 == 1:
-        arg = (k - 1) * (ell - 1) // 2 + 1
-    else:
-        arg = (k - 2) * (ell - 1) // 2 + 2
-    via_convex = es_bound(arg)
+    # es_bound(q) points hold q in convex position, and q = q_formula(k, ell)
+    # in convex position hold ell collinear or k strictly convex points.
+    via_convex = es_bound(q_formula(k, ell))
     es_k = es_bound(k)
     via_genpos = (ell - 3) * comb(es_k - 1, 2) + es_k
     return EsKlBound(min(via_convex, via_genpos), via_convex, via_genpos)

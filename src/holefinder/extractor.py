@@ -241,11 +241,18 @@ def _run_machinery(
     pts: list[Point], ell: int, params: ExtractionParams, trace: list[TraceStep]
 ) -> Optional[ExtractionResult]:
     """The layer/arc/follower walk; None means fall back to complete search."""
-    k_default = params.k if params.k is not None else threshold_k(ell)
-    cap = min(k_default, len(pts))
+    if params.k is not None:
+        requested = params.k
+    elif ell < len(pts):
+        requested = threshold_k(ell)
+    else:
+        # threshold_k(ell) >= ell >= n caps k at n; it can run to thousands
+        # of digits, too many to compute or print.
+        requested = None
+    cap = len(pts) if requested is None else min(requested, len(pts))
     k = len(max_convex_position_subset(pts, cap=cap))
     if k < cap:
-        trace.append(TraceStep("reduced-k", {"k": k, "requested": k_default}))
+        trace.append(TraceStep("reduced-k", {"k": k, "requested": requested}))
     if k < 5:
         trace.append(TraceStep("machinery-skipped", {"reason": "k < 5", "k": k}))
         return None

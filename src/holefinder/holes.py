@@ -94,7 +94,7 @@ def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
 def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     """A k-hole of the point set, or None if there is none.
 
-    Complete: the convex-position walk ``convexity._convex_subset`` runs in
+    Complete: the convex-position walk ``convexity._convex_walk`` runs in
     strict mode with every fan triangle from the base required to be empty
     of other points, which prunes hard while missing nothing.
     """

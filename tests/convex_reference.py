@@ -1,6 +1,6 @@
 """Reference convex-position and hole searches for differential tests.
 
-A copy of the chain DFS of ``convexity._convex_subset``, of the k-minimal
+A copy of the chain DFS of ``convexity._convex_walk``, of the k-minimal
 descent, whose halfplane loop here searches every halfplane (the library
 skips those inside a set it has already refuted), and of the recursive
 empty-chain hole search that ``find_k_hole`` ran before it moved onto the

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holefinder.convexity
 from holefinder.cli import (
     PointFileError,
     _verify_document,
@@ -14,6 +15,7 @@ from holefinder.cli import (
     main,
     write_point_file,
 )
+from holefinder.generators import grid, random_general_position
 from holefinder.geometry import GeometryError, max_collinear
 from holefinder.holes import is_hole
 
@@ -106,6 +108,26 @@ def test_analyze_square(tmp_path, runner):
     assert "max_convex_subset: 4" in result.output
     assert "largest_hole: 4" in result.output
     assert "convex_layers: [4]" in result.output
+
+
+def test_analyze_walks_once(tmp_path, runner, monkeypatch):
+    # Both maxima come from one non-strict walk; hole searches walk empty.
+    walk = holefinder.convexity._convex_walk
+    walks = []
+
+    def counting(pts, strict, target, empty=False):
+        if not empty:
+            walks.append((strict, target))
+        return walk(pts, strict, target, empty)
+
+    monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
+    for name, pts in (("grid4", grid(4)), ("random16", random_general_position(16, 0))):
+        path = tmp_path / f"{name}.txt"
+        write_point_file(str(path), pts)
+        walks.clear()
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 0
+        assert walks == [(False, len(pts) + 1)]
 
 
 def test_analyze_rejects_bad_file(tmp_path, runner):
@@ -203,6 +225,17 @@ def test_extract_rejects_overlong_integer(tmp_path, runner):
     result = runner.invoke(main, ["extract", path, "--ell", "3"])
     assert result.exit_code == 2
     assert "line 1: coordinate has too many digits" in result.output
+
+
+def test_extract_trace_with_unprintable_threshold(tmp_path, runner):
+    # threshold_k(3000) has about 9,900 digits; with ell >= n the cap is n
+    # and the trace does not hold it.
+    path = tmp_path / "p.txt"
+    write_point_file(str(path), random_general_position(12, 0))
+    result = runner.invoke(main, ["extract", str(path), "--ell", "3000", "--trace"])
+    doc = json.loads(result.output)
+    assert result.exit_code == (3 if doc["kind"] == "inconclusive" else 0)
+    assert doc["trace"][0] == {"kind": "reduced-k", "detail": {"k": 9, "requested": None}}
 
 
 def test_extract_rejects_bad_ell(tmp_path, runner):
@@ -406,6 +439,20 @@ def test_bounds_output(runner):
 
 def test_bounds_rejects_small_parameters(runner):
     assert runner.invoke(main, ["bounds", "2", "3"]).exit_code == 2
+
+
+@pytest.mark.parametrize("k, ell", [("10000", "3"), ("3", "3000"), ("9" * 30, "9" * 30)])
+def test_bounds_rejects_unprintable_numbers(runner, k, ell):
+    result = runner.invoke(main, ["bounds", k, ell])
+    assert result.exit_code == 2
+    assert "digit limit" in result.output
+
+
+def test_bounds_prints_long_numbers_under_the_limit(runner):
+    result = runner.invoke(main, ["bounds", "7000", "3"])
+    assert result.exit_code == 0
+    # es_bound(7000) = comb(13995, 6998) + 1 has 4,211 digits.
+    assert len(result.output.splitlines()[0]) == len("es_bound(7000) = ") + 4211
 
 
 # --- README -------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holefinder.convexity import (
@@ -134,6 +134,9 @@ def test_convex_search_matches_oracle(pts):
         unique=True,
     )
 )
+# The strict maximum (four corners) is not the corner set of the non-strict
+# maximum, whose fourth point (1, 1) lies on an edge.
+@example([(0, 1), (1, 1), (2, 2), (3, 0), (4, 1)])
 def test_convex_search_matches_reference(pts):
     canon = sorted(pts)
     n = len(pts)

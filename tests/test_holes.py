@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import holefinder.convexity
 from holefinder.convexity import _triangle_clear
-from holefinder.generators import grid, horton
+from holefinder.generators import grid, horton, random_general_position
 from holefinder.geometry import GeometryError
 from holefinder.holes import (
     EXCEPTIONAL_SIX,
@@ -74,6 +74,9 @@ def test_find_k_hole_empty_triangle_blocked_by_edge_point():
 )
 @example(horton(16))
 @example(grid(5))
+@example(horton(32))
+@example(grid(6))
+@example(random_general_position(33, seed=75))
 def test_find_k_hole_matches_reference(pts):
     for k in range(3, 8):
         assert find_k_hole(pts, k) == reference_k_hole(pts, k)

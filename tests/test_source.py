@@ -18,7 +18,7 @@ def test_library_has_no_assert_statements():
 
 
 def test_one_chain_engine():
-    # Every angle-ordered chain walk runs in convexity._convex_subset.
+    # Every angle-ordered chain walk runs in convexity._convex_walk.
     callers = set()
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -34,4 +34,4 @@ def test_one_chain_engine():
                 getattr(node.func, "attr", None),
             ):
                 callers.add(f"{path.stem}.{scope.get(node, '<module>')}")
-    assert callers == {"convexity._convex_subset"}
+    assert callers == {"convexity._convex_walk"}

@@ -86,12 +86,21 @@ def load_point_file(path: str) -> list[Point]:
 
 
 def write_point_file(path: Optional[str], pts: Sequence[Point]) -> None:
-    text = "".join(f"{x} {y}\n" for x, y in pts)
+    _write("".join(f"{x} {y}\n" for x, y in pts), path)
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is None; a path that
+    cannot be written is bad input (exit 2)."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
 
 
 def certificate_document(cert, verified: bool, trace=None) -> dict:
@@ -121,12 +130,7 @@ def _with_trace(doc: dict, trace) -> dict:
 
 
 def emit_json(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 @click.group()

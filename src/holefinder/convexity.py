@@ -37,48 +37,38 @@ class HullBoundary:
     corners: tuple[Point, ...]
 
 
-def _strict_hull_ccw(pts: list[Point]) -> list[Point]:
-    """Strict hull corners, counterclockwise, via the monotone chain."""
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def convex_hull(points: Sequence[Point]) -> HullBoundary:
-    """Hull boundary of the points, clockwise, collinear boundary points kept."""
+    """Hull boundary of the points, clockwise, collinear boundary points kept.
+
+    One monotone chain (Andrew 1979): over the sorted points, the lower and
+    upper chains pop only on a right turn, so the points on each edge stay
+    on them in order.  The counterclockwise ring they make is reversed to
+    run clockwise from the least point; the corners are its points with a
+    nonzero turn.  Without three corners the points are collinear.
+    """
     pts = validate_points(points)
     if not pts:
         raise GeometryError("convex_hull needs at least one point")
     if len(pts) == 1:
         return HullBoundary((pts[0],), (pts[0],))
-    ccw = _strict_hull_ccw(pts)
-    if len(ccw) <= 2:
+    pts = canonical(pts)
+    ccw: list[Point] = []
+    for run in (pts, pts[::-1]):  # the lower chain, then the upper one
+        chain: list[Point] = []
+        for p in run:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) < 0:
+                chain.pop()
+            chain.append(p)
+        ccw += chain[:-1]
+    boundary = ccw[:1] + ccw[:0:-1]
+    n = len(boundary)
+    corners = tuple(
+        b for i, b in enumerate(boundary)
+        if cross(boundary[i - 1], b, boundary[(i + 1) % n]) != 0
+    )
+    if len(corners) <= 2:
         # All points collinear: boundary is every point along the segment.
-        line = canonical(pts)
-        return HullBoundary(tuple(line), (line[0], line[-1]))
-    cw = list(reversed(ccw))
-    boundary: list[Point] = []
-    for i, a in enumerate(cw):
-        b = cw[(i + 1) % len(cw)]
-        edge = [p for p in pts if p not in (a, b) and on_closed_segment(p, a, b)]
-        edge.sort(key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2)
-        boundary.append(a)
-        boundary.extend(edge)
-    start = boundary.index(min(boundary))
-    boundary = boundary[start:] + boundary[:start]
-    corner_set = set(cw)
-    corners = tuple(p for p in boundary if p in corner_set)
+        return HullBoundary(tuple(pts), (pts[0], pts[-1]))
     return HullBoundary(tuple(boundary), corners)
 
 
@@ -385,17 +375,13 @@ def strictly_convex_subset_in_convex_position(
 
 
 def _sides(hull: HullBoundary) -> list[list[Point]]:
-    """The per-side point lists of the hull (sides share corners)."""
-    corners = hull.corners
-    m = len(corners)
-    sides = []
-    for i in range(m):
-        a = corners[i]
-        b = corners[(i + 1) % m]
-        side = [p for p in hull.boundary if on_closed_segment(p, a, b)]
-        side.sort(key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2)
-        sides.append(side)
-    return sides
+    """The per-side point lists of a hull with three or more corners: the
+    slices of the boundary, closed up at its least point, from each corner
+    to the next (sides share corners)."""
+    ring = hull.boundary + hull.boundary[:1]
+    corners = set(hull.corners)
+    ends = [i for i, p in enumerate(ring) if p in corners]
+    return [list(ring[i : j + 1]) for i, j in zip(ends, ends[1:])]
 
 
 def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
@@ -503,13 +489,9 @@ def _smaller_convex_subset(
     if len(corners) <= 2:
         # Degenerate hull: minimal k-subsets are windows along the line.
         line = canonical(inside)
-        best = None
-        for i in range(len(line) - k + 1):
-            window = line[i : i + k]
-            if _hull_measure(window) < _hull_measure(current):
-                if best is None or _hull_measure(window) < _hull_measure(best):
-                    best = window
-        return best
+        windows = [line[i : i + k] for i in range(len(line) - k + 1)]
+        best = min(windows, key=_hull_measure)  # ties go to the first window
+        return best if _hull_measure(best) < _hull_measure(current) else None
     for a in inside:
         for b in inside:
             if a == b:

@@ -256,6 +256,8 @@ def _run_machinery(
     if k < 5:
         trace.append(TraceStep("machinery-skipped", {"reason": "k < 5", "k": k}))
         return None
+    # Past n + 1 layers every layer is empty padding: the answer is the same.
+    ell = min(ell, len(pts) + 1)
 
     ground = pts
     for restart in range(len(pts) + 1):

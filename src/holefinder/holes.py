@@ -42,9 +42,12 @@ class HoleCertificate:
         return cls(tuple(cw), len(vertices))
 
     def verify(self, ambient: Sequence[Point]) -> bool:
-        vertices = self.vertices
-        if not len(set(vertices)) == len(vertices) == self.k:
-            return False  # a repeated vertex is no hole
+        try:
+            vertices = validate_points(self.vertices)
+        except GeometryError:
+            return False  # a repeated vertex or a non-integer pair is no hole
+        if len(vertices) != self.k or not set(vertices) <= set(ambient):
+            return False
         return is_hole(ambient, vertices)
 
 

@@ -2,16 +2,18 @@
 
 A copy of the chain DFS of ``convexity._convex_walk``, of the k-minimal
 descent, whose halfplane loop here searches every halfplane (the library
-skips those inside a set it has already refuted), and of the recursive
+skips those inside a set it has already refuted), of the recursive
 empty-chain hole search that ``find_k_hole`` ran before it moved onto the
-shared walk.  Any faster search must return exactly what these return.
+shared walk, and of the hull that found each edge's points by rescanning
+the set after a strict monotone chain.  Any faster search must return
+exactly what these return.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from holefinder.convexity import _hull_measure, convex_hull, in_closed_hull
+from holefinder.convexity import HullBoundary, _hull_measure, convex_hull, in_closed_hull
 from holefinder.geometry import (
     GeometryError,
     Point,
@@ -180,3 +182,62 @@ def _reference_empty_chain(
 
 def _reference_segment_clear(pts: list[Point], a: Point, b: Point) -> bool:
     return all(p in (a, b) or not on_closed_segment(p, a, b) for p in pts)
+
+
+def _reference_strict_hull_ccw(pts: list[Point]) -> list[Point]:
+    """Strict hull corners, counterclockwise, via the monotone chain."""
+    pts = sorted(set(pts))
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def reference_convex_hull(points) -> HullBoundary:
+    """Hull boundary of the points, clockwise, collinear boundary points kept."""
+    pts = validate_points(points)
+    if not pts:
+        raise GeometryError("convex_hull needs at least one point")
+    if len(pts) == 1:
+        return HullBoundary((pts[0],), (pts[0],))
+    ccw = _reference_strict_hull_ccw(pts)
+    if len(ccw) <= 2:
+        # All points collinear: boundary is every point along the segment.
+        line = canonical(pts)
+        return HullBoundary(tuple(line), (line[0], line[-1]))
+    cw = list(reversed(ccw))
+    boundary: list[Point] = []
+    for i, a in enumerate(cw):
+        b = cw[(i + 1) % len(cw)]
+        edge = [p for p in pts if p not in (a, b) and on_closed_segment(p, a, b)]
+        edge.sort(key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2)
+        boundary.append(a)
+        boundary.extend(edge)
+    start = boundary.index(min(boundary))
+    boundary = boundary[start:] + boundary[:start]
+    corner_set = set(cw)
+    corners = tuple(p for p in boundary if p in corner_set)
+    return HullBoundary(tuple(boundary), corners)
+
+
+def reference_sides(hull: HullBoundary) -> list[list[Point]]:
+    """The per-side point lists of the hull (sides share corners)."""
+    corners = hull.corners
+    m = len(corners)
+    sides = []
+    for i in range(m):
+        a = corners[i]
+        b = corners[(i + 1) % m]
+        side = [p for p in hull.boundary if on_closed_segment(p, a, b)]
+        side.sort(key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2)
+        sides.append(side)
+    return sides

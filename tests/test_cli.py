@@ -238,6 +238,14 @@ def test_extract_trace_with_unprintable_threshold(tmp_path, runner):
     assert doc["trace"][0] == {"kind": "reduced-k", "detail": {"k": 9, "requested": None}}
 
 
+def test_extract_unwritable_out_is_bad_input(tmp_path, runner):
+    path = write(tmp_path, "p.txt", PENTA_TEXT)
+    out = str(tmp_path / "missing" / "cert.json")
+    result = runner.invoke(main, ["extract", path, "--ell", "3", "--out", out])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
 def test_extract_rejects_bad_ell(tmp_path, runner):
     path = write(tmp_path, "sq.txt", SQUARE_TEXT)
     result = runner.invoke(main, ["extract", path, "--ell", "1"])
@@ -252,6 +260,13 @@ def test_generate_grid_round_trip(tmp_path, runner):
     result = runner.invoke(main, ["generate", "grid", "4", "--out", out])
     assert result.exit_code == 0
     assert len(load_point_file(out)) == 16
+
+
+def test_generate_unwritable_out_is_bad_input(tmp_path, runner):
+    out = str(tmp_path / "missing" / "grid.txt")
+    result = runner.invoke(main, ["generate", "grid", "4", "--out", out])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
 
 
 def test_generate_seeded_is_deterministic(runner):

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holefinder.convexity import (
+    _sides,
     convex_hull,
     convex_layers,
     es_bound,
@@ -22,9 +23,11 @@ from holefinder.geometry import GeometryError
 from holefinder.oracle import oracle_max_convex_subset
 
 from convex_reference import (
+    reference_convex_hull,
     reference_convex_subset,
     reference_find,
     reference_k_minimal_convex_subset,
+    reference_sides,
 )
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -47,6 +50,32 @@ def test_convex_hull_collinear_input():
     hull = convex_hull([(0, 0), (2, 2), (1, 1)])
     assert hull.boundary == ((0, 0), (1, 1), (2, 2))
     assert hull.corners == ((0, 0), (2, 2))
+
+
+# Lattice sets in boxes from 1x1 to 6x6 points: edge points are common.
+BOXED_SETS = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda box: st.lists(
+        st.tuples(st.integers(0, box[0] - 1), st.integers(0, box[1] - 1)),
+        min_size=1,
+        max_size=14,
+        unique=True,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BOXED_SETS)
+@example([(0, 2), (0, 0), (0, 1), (3, 1), (5, 0), (5, 1), (5, 3), (2, 1)])  # vertical ends
+@example([(0, 0), (3, 3), (1, 1), (2, 2)])  # all collinear
+@example([(2, 3)])
+@example([(1, 0), (0, 2)])
+def test_convex_hull_matches_reference(pts):
+    hull = convex_hull(pts)
+    reference = reference_convex_hull(pts)
+    assert hull.boundary == reference.boundary
+    assert hull.corners == reference.corners
+    if len(hull.corners) >= 3:  # sides are defined for polygons
+        assert _sides(hull) == reference_sides(reference)
 
 
 def test_position_predicates():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import holefinder.extractor
@@ -13,7 +15,7 @@ from holefinder.extractor import (
     is_empty_arc,
     threshold_k,
 )
-from holefinder.generators import grid
+from holefinder.generators import grid, random_general_position
 from holefinder.geometry import GeometryError
 from holefinder.holes import CollinearCertificate, HoleCertificate, is_hole
 
@@ -128,6 +130,18 @@ def test_extract_restart_when_outer_layer_has_no_empty_arc(monkeypatch):
     assert calls["n"] == 2
     assert isinstance(result.outcome, HoleCertificate)
     assert result.outcome.verify(pts)
+
+
+def test_extract_layers_stop_past_n_plus_one():
+    # 12 points make at most 13 layers; a larger ell only pads empty ones.
+    pts = random_general_position(12, 0)
+    small = extract(pts, ExtractionParams(ell=13))
+    start = time.perf_counter()
+    huge = extract(pts, ExtractionParams(ell=10**6))
+    assert time.perf_counter() - start < 1.0
+    assert "layers" in huge.trace_kinds()
+    assert huge.outcome == small.outcome
+    assert huge.trace == small.trace
 
 
 def test_extract_validates_input():

@@ -109,6 +109,19 @@ def test_hole_certificate_rejects_repeated_vertex():
     assert cert.verify(pentagon) is False
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((0, 0), (10, 0), (13, 9), (9, 9)),  # (9, 9) is not a point of the set
+        ((0, 0), (10, 0), (13, 9), (5.0, 15.0)),  # equal to (5, 15), not ints
+        ((0, 0), (10, 0), (13, 9), [5, 15]),
+    ],
+)
+def test_hole_certificate_rejects_foreign_vertex(vertices):
+    pentagon = [(0, 0), (10, 0), (13, 9), (5, 15), (-3, 9)]
+    assert HoleCertificate(vertices=vertices, k=4).verify(pentagon) is False
+
+
 def test_collinear_certificate_round_trip():
     cert = CollinearCertificate.build([(0, 0), (2, 2), (1, 1)])
     assert cert.points == ((0, 0), (1, 1), (2, 2))

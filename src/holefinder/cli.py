@@ -254,15 +254,28 @@ def _generate(family: str, params: list[int], seed: int) -> list[Point]:
         return gen.horton(*params)
     if family == "collinear_plus_one":
         return gen.collinear_plus_one(*params)
+    if family == "eppstein_e":  # one frozen 6-point set
+        _padded(family, params, [])
+        return gen.eppstein_family("e")
     if family.startswith("eppstein_"):
         return gen.eppstein_family(family[-1], *params)
     if family == "random_general_position":
-        return gen.random_general_position(params[0] if params else 10, seed)
+        (n,) = _padded(family, params, [10])
+        return gen.random_general_position(n, seed)
     if family == "random_bounded_collinear":
-        n = params[0] if params else 10
-        ell = params[1] if len(params) > 1 else 3
+        n, ell = _padded(family, params, [10, 3])
         return gen.random_bounded_collinear(n, ell, seed)
     raise GeometryError(f"unknown family {family!r}")
+
+
+def _padded(family: str, params: list[int], defaults: list[int]) -> list[int]:
+    """``params`` followed by the defaults they leave out.  More parameters
+    than defaults is a ``TypeError``, as for the families without defaults."""
+    if len(params) > len(defaults):
+        raise TypeError(
+            f"{family} takes at most {len(defaults)} parameters, got {len(params)}"
+        )
+    return params + defaults[len(params) :]
 
 
 @main.command()

@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .convexity import is_convex_position
+from .convexity import convex_hull, is_convex_position
 from .geometry import (
     GeometryError,
     Point,
     canonical,
     cross,
+    direction,
     is_general_position,
     max_collinear,
     validate_points,
@@ -97,15 +98,8 @@ def _extra_convex_point(
     mx, my = b[0] + c[0], b[1] + c[1]  # twice the side midpoint
     candidates.sort(key=lambda e: ((2 * e[0] - mx) ** 2 + (2 * e[1] - my) ** 2, e))
     taken = set(pts)
-    n = len(pts)
     for e in candidates:
-        if e in taken:
-            continue
-        if any(
-            cross(e, pts[i], pts[j]) == 0
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
+        if e in taken or _creates_ell_collinear(pts, e, 3):
             continue
         if is_convex_position(pts + [e]):
             return e
@@ -150,13 +144,22 @@ def _horton(n: int) -> list[Point]:
 def _deep_above(lower: Sequence[Point], upper: Sequence[Point]) -> bool:
     """True iff every line through two lower points passes strictly below all
     upper points and every line through two upper points strictly above all
-    lower points."""
+    lower points.
+
+    The x-coordinates are distinct, so for a < b, cross(a, b, p) is linear in
+    p with a positive y coefficient: its least value over the upper points
+    is at a corner of their lower hull, its greatest over the lower points
+    at a corner of their upper hull, and only those corners are tested.
+    """
     for group, other, sign in ((lower, upper, 1), (upper, lower, -1)):
+        ring = convex_hull(other).corners  # clockwise from the least point
+        top = ring.index(max(ring))
+        extreme = ring[top:] + ring[:1] if sign > 0 else ring[: top + 1]
         pts = sorted(group)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                for p in other:
-                    if sign * cross(pts[i], pts[j], p) <= 0:
+        for i, a in enumerate(pts):
+            for b in pts[i + 1 :]:
+                for p in extreme:
+                    if sign * cross(a, b, p) <= 0:
                         return False
     return True
 
@@ -208,17 +211,17 @@ def random_bounded_collinear(n: int, ell: int, seed: int) -> list[Point]:
     rng = random.Random(seed)
     box = max(8, 4 * n * n)
     pts: list[Point] = []
+    taken: set[Point] = set()
     attempts = 0
     while len(pts) < n:
         attempts += 1
         if attempts > 4000 * n:
             raise GeometryError("sampling budget exhausted; box too small")
         p = (rng.randrange(box), rng.randrange(box))
-        if p in pts:
-            continue
-        if _creates_ell_collinear(pts, p, ell):
+        if p in taken or _creates_ell_collinear(pts, p, ell):
             continue
         pts.append(p)
+        taken.add(p)
     out = canonical(pts)
     if max_collinear(out)[0] >= ell:
         raise GeometryError(f"sampled set has {ell} collinear points")
@@ -226,12 +229,13 @@ def random_bounded_collinear(n: int, ell: int, seed: int) -> list[Point]:
 
 
 def _creates_ell_collinear(pts: Sequence[Point], p: Point, ell: int) -> bool:
+    """True iff adding p (not among pts) puts ell points of pts + [p] on one
+    line: ell - 1 of pts share a direction from p."""
+    counts: dict[tuple[int, int], int] = {}
     for a in pts:
-        run = 2
-        for b in pts:
-            if b is not a and cross(a, p, b) == 0:
-                run += 1
-        if run >= ell:
+        d = direction(p, a)
+        counts[d] = counts.get(d, 0) + 1
+        if counts[d] >= ell - 1:
             return True
     return False
 

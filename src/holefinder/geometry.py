@@ -129,29 +129,51 @@ def in_open_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
     return s1 > 0 and s2 > 0 and s3 > 0
 
 
-def _line_key(a: Point, b: Point) -> tuple[int, int, int]:
-    """Canonical (A, B, C) for the line Ax + By = C through a and b."""
-    ax, ay = a
-    bx, by = b
-    A = by - ay
-    B = ax - bx
-    C = A * ax + B * ay
-    g = gcd(gcd(abs(A), abs(B)), abs(C))
-    if g:
-        A, B, C = A // g, B // g, C // g
-    if A < 0 or (A == 0 and B < 0):
-        A, B, C = -A, -B, -C
-    return A, B, C
+def direction(a: Point, b: Point) -> tuple[int, int]:
+    """The reduced direction of b - a: both coordinates divided by their gcd,
+    the sign fixed so that x > 0, or x == 0 and y > 0.
+
+    Distinct points b and c lie on one line through a iff
+    ``direction(a, b) == direction(a, c)``, whichever sides of a they are on.
+    """
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    g = gcd(dx, dy)
+    if not g:
+        raise GeometryError("direction needs two distinct points")
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return dx // g, dy // g
+
+
+def _lines_from(pts: Sequence[Point], i: int) -> dict[tuple[int, int], list[Point]]:
+    """The points after ``pts[i]`` grouped by their direction from it, each
+    group led by ``pts[i]``; in canonical ``pts`` every group is ordered
+    along its line."""
+    a = pts[i]
+    lines: dict[tuple[int, int], list[Point]] = {}
+    for b in pts[i + 1 :]:
+        lines.setdefault(direction(a, b), [a]).append(b)
+    return lines
 
 
 def collinear_groups(points: Sequence[Point]) -> list[list[Point]]:
-    """All maximal collinear subsets of size >= 2, points ordered along the line."""
-    pts = list(points)
-    lines: dict[tuple[int, int, int], set[Point]] = {}
+    """All maximal collinear subsets of size >= 2, points ordered along the line.
+
+    Each line is taken from its least point: a group whose anchor already
+    lies on a line of that direction found from an earlier anchor is the
+    tail of that line and is skipped.
+    """
+    pts = canonical(validate_points(points))
+    groups: list[list[Point]] = []
+    tails: set[tuple[Point, tuple[int, int]]] = set()
     for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            lines.setdefault(_line_key(a, b), set()).update((a, b))
-    return [sorted(group) for group in lines.values()]
+        for d, group in _lines_from(pts, i).items():
+            if (a, d) not in tails:
+                groups.append(group)
+                # The last point has no later points to anchor a tail.
+                tails.update((b, d) for b in group[1:-1])
+    return groups
 
 
 def max_collinear(points: Sequence[Point]) -> tuple[int, list[Point]]:
@@ -160,15 +182,21 @@ def max_collinear(points: Sequence[Point]) -> tuple[int, list[Point]]:
     Witness points are ordered along their common line; ties are broken by the
     lexicographically least ordered point list.
     """
-    pts = validate_points(points)
+    pts = canonical(validate_points(points))
     if not pts:
         raise GeometryError("max_collinear needs at least one point")
-    if len(pts) == 1:
-        return 1, pts
-    best: list[Point] = []
-    for group in collinear_groups(pts):
-        if len(group) > len(best) or (len(group) == len(best) and group < best):
-            best = group
+    # Anchors ascend and each anchor's groups come in the order of their
+    # second point, so the first strictly longer group wins every tie.  A
+    # group from a later anchor than its line's least point is shorter
+    # than that line, and an anchor with no more points after it than the
+    # best group can only tie it.
+    best = pts[:1]
+    for i in range(len(pts)):
+        if len(pts) - i <= len(best):
+            break
+        for group in _lines_from(pts, i).values():
+            if len(group) > len(best):
+                best = group
     return len(best), best
 
 
@@ -209,14 +237,17 @@ def perturb_general_position(points: Sequence[Point]) -> list[Point]:
 
 
 def is_general_position(points: Sequence[Point]) -> bool:
-    """True iff no three of the points are collinear."""
+    """True iff no three of the points are collinear (a repeated point is
+    collinear with any third one)."""
     pts = list(points)
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if cross(pts[i], pts[j], pts[k]) == 0:
-                    return False
+    if n < 3:
+        return True
+    if len(set(pts)) < n:
+        return False
+    for i, a in enumerate(pts):
+        if len({direction(a, b) for b in pts[i + 1 :]}) < n - 1 - i:
+            return False
     return True
 
 

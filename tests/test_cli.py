@@ -284,6 +284,20 @@ def test_generate_rejects_bad_parameters(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["random_general_position", "3", "4", "5"],
+        ["random_bounded_collinear", "10", "3", "7"],
+        ["eppstein_e", "9"],
+    ],
+)
+def test_generate_rejects_unused_parameters(runner, args):
+    result = runner.invoke(main, ["generate", *args])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
 # --- verify -------------------------------------------------------------
 
 

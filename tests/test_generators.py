@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holefinder.convexity import (
     is_convex_position,
@@ -6,6 +8,7 @@ from holefinder.convexity import (
     q_formula,
 )
 from holefinder.generators import (
+    _deep_above,
     collinear_plus_one,
     eppstein_family,
     every_second_side,
@@ -18,6 +21,12 @@ from holefinder.generators import (
 from holefinder.geometry import GeometryError, is_general_position, max_collinear
 from holefinder.holes import classify_no_four_hole, find_k_hole
 from holefinder.oracle import OracleBudget, oracle_max_convex_subset
+
+from collinear_reference import (
+    reference_deep_above,
+    reference_horton,
+    reference_random_bounded_collinear,
+)
 
 
 def test_every_second_side_sizes():
@@ -121,3 +130,37 @@ def test_extremal_set_cross_checked_against_oracle():
     pts = every_second_side(5, 3)
     budget = OracleBudget(convex_subsets=len(pts))
     assert oracle_max_convex_subset(pts, strict=True, budget=budget) == 4
+
+
+def test_random_bounded_collinear_matches_reference():
+    for n in (1, 2, 3, 7, 12, 20, 28):
+        for ell in (3, 4, 5):
+            for seed in range(4):
+                assert random_bounded_collinear(n, ell, seed) == (
+                    reference_random_bounded_collinear(n, ell, seed)
+                )
+
+
+@pytest.mark.parametrize("log_n", range(9))
+def test_horton_matches_reference(log_n):
+    assert horton(2**log_n) == sorted(reference_horton(2**log_n))
+
+
+# Halves of a Horton level: distinct x, any y.
+HALVES = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    min_size=1,
+    max_size=9,
+    unique_by=lambda p: p[0],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(HALVES)
+def test_deep_above_matches_reference(half):
+    """Every lift ``d`` around the one where the halves separate."""
+    lower = [(2 * x, y) for x, y in half]
+    for d in range(-4, 70):
+        upper = [(2 * x + 1, y + d) for x, y in half]
+        assert _deep_above(lower, upper) == reference_deep_above(lower, upper)
+        assert _deep_above(upper, lower) == reference_deep_above(upper, lower)

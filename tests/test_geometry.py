@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holefinder.geometry import (
@@ -7,6 +7,7 @@ from holefinder.geometry import (
     canonical,
     collinear_groups,
     cross,
+    direction,
     in_closed_triangle,
     in_open_triangle,
     is_general_position,
@@ -16,6 +17,12 @@ from holefinder.geometry import (
     perturb_general_position,
     segments_cross_properly,
     validate_points,
+)
+
+from collinear_reference import (
+    reference_collinear_groups,
+    reference_is_general_position,
+    reference_max_collinear,
 )
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -121,6 +128,52 @@ def test_max_collinear_two_points():
 def test_is_general_position():
     assert is_general_position([(0, 0), (1, 0), (0, 1), (3, 5)])
     assert not is_general_position([(0, 0), (1, 1), (2, 2)])
+    assert not is_general_position([(0, 0), (1, 5), (0, 0)])  # a repeat
+    assert is_general_position([(0, 0), (0, 0)])  # no three points
+    assert is_general_position([(7, 7)])
+    assert is_general_position([])
+
+
+# Dense lattice sets with negative coordinates: many lines, in every
+# direction, through points on both sides of one another.
+LATTICE_SETS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda box: st.lists(
+        st.tuples(st.integers(-box, box), st.integers(-box, box)),
+        max_size=16,
+        unique=True,
+    )
+)
+
+
+def test_direction_is_reduced_and_sign_fixed():
+    assert direction((1, 1), (5, 3)) == (2, 1)
+    assert direction((5, 3), (1, 1)) == (2, 1)
+    assert direction((0, 0), (0, -4)) == (0, 1)
+    assert direction((0, 0), (-3, 0)) == (1, 0)
+    assert direction((2, -1), (-1, 5)) == (1, -2)
+    with pytest.raises(GeometryError):
+        direction((3, 3), (3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATTICE_SETS)
+@example([(1, 1), (0, 0), (2, 2)])  # the first point between the others
+@example([(0, -1), (0, 1), (0, 0), (-2, 0), (2, 0)])
+@example([(0, 0)])
+@example([])
+def test_collinearity_matches_reference(pts):
+    if pts:
+        assert max_collinear(pts) == reference_max_collinear(pts)
+    assert sorted(collinear_groups(pts)) == sorted(reference_collinear_groups(pts))
+    assert is_general_position(pts) == reference_is_general_position(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LATTICE_SETS.filter(bool), st.data())
+def test_is_general_position_repeated_point_matches_reference(pts, data):
+    repeated = data.draw(st.permutations(pts + [data.draw(st.sampled_from(pts))]))
+    for sample in (repeated, repeated[:2]):
+        assert is_general_position(sample) == reference_is_general_position(sample)
 
 
 def test_perturbation_removes_collinearity_preserves_orientations():

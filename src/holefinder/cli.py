@@ -99,7 +99,7 @@ def _write(text: str, path: Optional[str]) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 
@@ -146,20 +146,20 @@ def analyze(input_file: str) -> None:
     try:
         pts = load_point_file(input_file)
     except GeometryError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     n = len(pts)
-    click.echo(f"points: {n}")
+    print(f"points: {n}")
     count, _ = max_collinear(pts)
-    click.echo(f"max_collinear: {count}")
+    print(f"max_collinear: {count}")
     if n <= ANALYZE_SUBSET_LIMIT:
         convex, strict = max_convex_subsets(pts)
-        click.echo(f"max_convex_subset: {len(convex)}")
-        click.echo(f"max_strictly_convex_subset: {len(strict)}")
+        print(f"max_convex_subset: {len(convex)}")
+        print(f"max_strictly_convex_subset: {len(strict)}")
     else:
         hull = convex_hull(pts)
-        click.echo(f"max_convex_subset: >={len(hull.boundary)} (budget refused)")
-        click.echo(
+        print(f"max_convex_subset: >={len(hull.boundary)} (budget refused)")
+        print(
             f"max_strictly_convex_subset: >={len(hull.corners)} (budget refused)"
         )
     largest = None
@@ -168,15 +168,15 @@ def analyze(input_file: str) -> None:
             DEFAULT_BUDGET.holes_small if k <= 5 else DEFAULT_BUDGET.holes_large
         )
         if n > limit:
-            click.echo(f"hole_{k}: budget refused ({n} > {limit} points)")
+            print(f"hole_{k}: budget refused ({n} > {limit} points)")
             continue
         cert = find_k_hole(pts, k)
         if cert is not None:
             largest = k
-    click.echo(f"largest_hole: {largest if largest is not None else 'none'}")
+    print(f"largest_hole: {largest if largest is not None else 'none'}")
     # Each peel takes at least one point, so n layers exhaust the set.
     layers, _ = peel_layers(pts, convex_hull(pts).boundary, n)
-    click.echo(f"convex_layers: {[len(layer) for layer in layers]}")
+    print(f"convex_layers: {[len(layer) for layer in layers]}")
 
 
 @main.command(name="extract")
@@ -196,7 +196,7 @@ def extract_cmd(
         params = ExtractionParams(ell=ell, k=k, oracle_fallback=not no_fallback)
         result = run_extract(pts, params)
     except GeometryError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     trace = result.trace if with_trace else None
     if isinstance(result.outcome, Inconclusive):
@@ -237,11 +237,11 @@ def generate(family: str, parameters, seed: int, out: Optional[str]) -> None:
     try:
         pts = _generate(family, list(parameters), seed)
     except (GeometryError, TypeError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     write_point_file(out, pts)
     count, _ = max_collinear(pts)
-    click.echo(f"# generated {len(pts)} points, max_collinear={count}", err=True)
+    print(f"# generated {len(pts)} points, max_collinear={count}", file=sys.stderr)
     sys.exit(0)
 
 
@@ -290,13 +290,13 @@ def verify(input_file: str, certificate_file: str) -> None:
     # ValueError covers GeometryError, malformed or undecodable JSON and
     # integers past the interpreter's conversion digit limit.
     except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     problem = _verify_document(pts, doc)
     if problem is None:
-        click.echo("certificate valid")
+        print("certificate valid")
         sys.exit(0)
-    click.echo(f"invalid certificate: {problem}")
+    print(f"invalid certificate: {problem}")
     sys.exit(1)
 
 
@@ -351,23 +351,23 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
 def bounds(k: int, ell: int) -> None:
     """Print the bound arithmetic for the given k and ell."""
     if k < 3 or ell < 3:
-        click.echo("error: bounds needs k >= 3 and ell >= 3", err=True)
+        print("error: bounds needs k >= 3 and ell >= 3", file=sys.stderr)
         sys.exit(2)
     if _bound_digits(k, ell) > sys.get_int_max_str_digits() > 0:
-        click.echo(
+        print(
             f"error: bounds for k={k}, ell={ell} pass the interpreter's "
             f"{sys.get_int_max_str_digits()}-digit limit for printing integers",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(2)
-    click.echo(f"es_bound({k}) = {es_bound(k)}")
+    print(f"es_bound({k}) = {es_bound(k)}")
     b = es_kl_bound(k, ell)
-    click.echo(f"es_kl_bound({k},{ell}) via convex position  = {b.via_convex_position}")
-    click.echo(f"es_kl_bound({k},{ell}) via general position = {b.via_general_position}")
-    click.echo(f"winner: {b.winner} ({b.value})")
-    click.echo(f"q_formula({k},{ell}) = {q_formula(k, ell)}")
-    click.echo(f"threshold_k({ell}) = {threshold_k(ell)}")
-    click.echo(f"quadrilateral_threshold({ell}) = {max(7, ell + 2)}")
+    print(f"es_kl_bound({k},{ell}) via convex position  = {b.via_convex_position}")
+    print(f"es_kl_bound({k},{ell}) via general position = {b.via_general_position}")
+    print(f"winner: {b.winner} ({b.value})")
+    print(f"q_formula({k},{ell}) = {q_formula(k, ell)}")
+    print(f"threshold_k({ell}) = {threshold_k(ell)}")
+    print(f"quadrilateral_threshold({ell}) = {max(7, ell + 2)}")
     sys.exit(0)
 
 

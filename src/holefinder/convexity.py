@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     GeometryError,
     Point,
+    _lines_from,
     angle_order,
     canonical,
     cross,
@@ -134,9 +135,13 @@ def find_convex_position_subset(
 ) -> Optional[list[Point]]:
     """A k-point subset in (strictly) convex position, or None.
 
-    The search is exhaustive, so a None answer is a proof of non-existence.
+    None is proved by the exact size table of ``_max_convex_size``, with no
+    walk; a subset that exists is the first one the exhaustive walk meets.
     """
-    found = _convex_subset(canonical(validate_points(points)), strict, k)
+    pts = canonical(validate_points(points))
+    if k > 2 and _max_convex_size(pts, strict) < k:
+        return None
+    found = _convex_subset(pts, strict, k)
     return found if len(found) >= k else None
 
 
@@ -223,8 +228,7 @@ def _convex_walk(
     closing = target if empty else 3
     # Points on each closed edge, less its ends; an edge recurs across bases.
     edge_points: dict[tuple[Point, Point], list[Point]] = {}
-    for idx, base in enumerate(pts):
-        cand = angle_order(base, pts[idx + 1 :])
+    for base, cand in _fans(pts):
         m = len(cand)
         chain = [base]
         # nxt[d]: the next candidate to try after chain[d], in preorder.
@@ -277,6 +281,60 @@ def _convex_walk(
             if len(found) > len(best):
                 best = found
     return canonical(best), canonical(corners)
+
+
+def _fans(pts: list[Point]) -> Iterator[tuple[Point, list[Point]]]:
+    """Each point of the canonical ``pts`` as a base, with the later points in
+    angle order around it: the candidates of every chain from that base."""
+    for idx, base in enumerate(pts):
+        yield base, angle_order(base, pts[idx + 1 :])
+
+
+def _max_convex_size(pts: list[Point], strict: bool) -> int:
+    """The size of the largest subset of the canonical ``pts`` in (strictly)
+    convex position: the largest answer ``_convex_walk`` can meet.
+
+    A table over each base's fan (Chvátal and Klincsek, 1980) replaces the
+    walk's chains.  ``size[i][j]`` is the most points of a chain base -> ...
+    -> cand[j] -> cand[i]: its corners and, in the non-strict case, the
+    points inside each of its edges.  As in the walk, the candidates of a
+    chain come in angle order and a chain enters cand[i] only on a strict
+    left turn, so the polygons closed here, where cross(cand[j], cand[i],
+    base) > 0, are exactly those the walk closes.  Up to two points, and
+    (non-strict) the longest collinear run, count as well.  The points
+    inside an edge and the longest run come from the direction groups of
+    ``_lines_from``, in O(n²); the table takes O(n⁴).
+    """
+    best = min(len(pts), 2)
+    # inner[a, b]: the points strictly inside segment ab, for a < b.
+    inner: dict[tuple[Point, Point], int] = {}
+    if not strict:
+        for i in range(len(pts)):
+            for line in _lines_from(pts, i).values():
+                best = max(best, len(line))
+                for t, b in enumerate(line[1:]):
+                    inner[line[0], b] = t
+    for base, cand in _fans(pts):
+        first = [2 + inner.get((base, c), 0) for c in cand]
+        size: list[list[int]] = []
+        for i, c in enumerate(cand):
+            row = [0] * i
+            for j in range(i):
+                b = cand[j]
+                # b and c at one angle from the base: no chain turns left
+                # at b towards c, from the base or from an earlier angle.
+                if cross(base, b, c) <= 0:
+                    continue
+                most = first[j]
+                for h, v in enumerate(size[j]):
+                    if v > most and cross(cand[h], b, c) > 0:
+                        most = v
+                most += 1 + inner.get((b, c) if b < c else (c, b), 0)
+                row[j] = most
+                if cross(b, c, base) > 0:
+                    best = max(best, most + first[i] - 2)
+            size.append(row)
+    return best
 
 
 def _segment_clear(pts: list[Point], a: Point, b: Point) -> bool:

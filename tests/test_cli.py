@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
@@ -134,6 +138,34 @@ def test_analyze_rejects_bad_file(tmp_path, runner):
     path = write(tmp_path, "bad.txt", "zap\n")
     result = runner.invoke(main, ["analyze", path])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "redirect, text, args",
+    [
+        (contextlib.redirect_stdout, SQUARE_TEXT, ["analyze"]),
+        (contextlib.redirect_stderr, "zap\n", ["analyze"]),
+        (contextlib.redirect_stdout, None, ["bounds", "5", "4"]),
+        (contextlib.redirect_stderr, None, ["bounds", "2", "4"]),
+    ],
+    ids=["analyze", "analyze-error", "bounds", "bounds-error"],
+)
+def test_in_process_runs_free_redirected_streams(tmp_path, redirect, text, args):
+    # A caller that runs the CLI in process and drops its stream gets the
+    # memory back: nothing in the CLI keeps a reference to sys.stdout/stderr.
+    if text is not None:
+        args = args + [write(tmp_path, "pts.txt", text)]
+    refs = []
+    for _ in range(3):
+        stream = io.StringIO()
+        with redirect(stream):
+            with pytest.raises(SystemExit):
+                main(args)
+        assert stream.getvalue()
+        refs.append(weakref.ref(stream))
+        del stream
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_analyze_two_points(tmp_path, runner):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import holefinder.convexity
 from holefinder.convexity import (
+    _max_convex_size,
     _sides,
     convex_hull,
     convex_layers,
@@ -19,6 +21,7 @@ from holefinder.convexity import (
     q_formula,
     strictly_convex_subset_in_convex_position,
 )
+from holefinder.generators import grid, horton
 from holefinder.geometry import GeometryError
 from holefinder.oracle import oracle_max_convex_subset
 
@@ -184,6 +187,53 @@ def test_convex_search_matches_reference(pts):
         if reference_find(pts, k) is None:
             break
         assert k_minimal_convex_subset(pts, k) == reference_k_minimal_convex_subset(pts, k)
+
+
+# Up to 16 lattice points in boxes from 1x1 to 6x6.
+SIZE_SETS = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda box: st.lists(
+        st.tuples(st.integers(0, box[0] - 1), st.integers(0, box[1] - 1)),
+        min_size=1,
+        max_size=16,
+        unique=True,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIZE_SETS)
+@example([(3, 1)])
+@example([(0, 0), (2, 1)])
+@example([(i, 2 * i) for i in range(5)])
+@example(grid(3))
+@example(grid(4))
+@example(horton(16))
+def test_max_convex_size_matches_oracle_and_reference(pts):
+    # find trusts the table for None, so its size must be exact, not a bound.
+    canon = sorted(pts)
+    n = len(pts)
+    for strict in (False, True):
+        size = _max_convex_size(canon, strict)
+        assert size == len(reference_convex_subset(canon, strict, n + 1))
+        if n <= 12:
+            assert size == oracle_max_convex_subset(pts, strict=strict)
+
+
+def test_refuted_find_does_not_walk(monkeypatch):
+    pts = horton(16)
+    most = len(reference_convex_subset(sorted(pts), False, len(pts) + 1))
+    walk = holefinder.convexity._convex_walk
+    walks = []
+
+    def counting(pts, strict, target, empty=False):
+        walks.append((strict, target))
+        return walk(pts, strict, target, empty)
+
+    monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
+    assert find_convex_position_subset(pts, most + 1) is None
+    assert walks == []
+    assert len(find_convex_position_subset(pts, most)) == most
+    assert walks == [(False, most)]
 
 
 def test_q_formula_values():

@@ -18,7 +18,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_one_chain_engine():
-    # Every angle-ordered chain walk runs in convexity._convex_walk.
+    # Every angle-ordered fan comes from convexity._fans, which the chain
+    # walk and the size table share.
     callers = set()
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -34,4 +35,4 @@ def test_one_chain_engine():
                 getattr(node.func, "attr", None),
             ):
                 callers.add(f"{path.stem}.{scope.get(node, '<module>')}")
-    assert callers == {"convexity._convex_walk"}
+    assert callers == {"convexity._fans"}

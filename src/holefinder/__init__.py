@@ -37,7 +37,7 @@ from .convexity import (
     is_strictly_convex_position,
     k_minimal_convex_subset,
     max_convex_position_subset,
-    max_convex_subsets,
+    max_convex_size,
     max_strictly_convex_subset,
     peel_layers,
     q_formula,

@@ -20,7 +20,7 @@ from .convexity import (
     es_bound,
     es_kl_bound,
     is_strictly_convex_position,
-    max_convex_subsets,
+    max_convex_size,
     peel_layers,
     q_formula,
 )
@@ -39,8 +39,6 @@ from .holes import (
 )
 from . import generators as gen
 from .oracle import DEFAULT_BUDGET
-
-ANALYZE_SUBSET_LIMIT = 40
 
 DECIMAL = re.compile("[+-]?[0-9]+")
 
@@ -133,8 +131,20 @@ def emit_json(doc: dict, out: Optional[str]) -> None:
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
+def _print_version(ctx: click.Context, _param, value: bool) -> None:
+    """The ``--version`` line, printed and not echoed, so that an in-process
+    caller's redirected stdout is freed (as for every command)."""
+    if not value or ctx.resilient_parsing:
+        return
+    print(f"{ctx.find_root().info_name}, version {__version__}")
+    sys.exit(0)
+
+
 @click.group()
-@click.version_option(version=__version__)
+@click.option(
+    "--version", is_flag=True, expose_value=False, is_eager=True,
+    callback=_print_version, help="Show the version and exit.",
+)
 def main() -> None:
     """Point-set analysis: collinear subsets, convex subsets, holes."""
 
@@ -152,16 +162,8 @@ def analyze(input_file: str) -> None:
     print(f"points: {n}")
     count, _ = max_collinear(pts)
     print(f"max_collinear: {count}")
-    if n <= ANALYZE_SUBSET_LIMIT:
-        convex, strict = max_convex_subsets(pts)
-        print(f"max_convex_subset: {len(convex)}")
-        print(f"max_strictly_convex_subset: {len(strict)}")
-    else:
-        hull = convex_hull(pts)
-        print(f"max_convex_subset: >={len(hull.boundary)} (budget refused)")
-        print(
-            f"max_strictly_convex_subset: >={len(hull.corners)} (budget refused)"
-        )
+    print(f"max_convex_subset: {max_convex_size(pts)}")
+    print(f"max_strictly_convex_subset: {max_convex_size(pts, strict=True)}")
     largest = None
     for k in range(3, 8):
         limit = (

@@ -135,13 +135,13 @@ def find_convex_position_subset(
 ) -> Optional[list[Point]]:
     """A k-point subset in (strictly) convex position, or None.
 
-    None is proved by the exact size table of ``_max_convex_size``, with no
+    None is proved by the exact size table of ``max_convex_size``, with no
     walk; a subset that exists is the first one the exhaustive walk meets.
     """
     pts = canonical(validate_points(points))
-    if k > 2 and _max_convex_size(pts, strict) < k:
+    if k > 2 and max_convex_size(pts, strict) < k:
         return None
-    found = _convex_subset(pts, strict, k)
+    found = _convex_walk(pts, strict, k)
     return found if len(found) >= k else None
 
 
@@ -154,35 +154,20 @@ def max_convex_position_subset(
     the answer is either ``cap`` points or a maximum subset.
     """
     pts = canonical(validate_points(points))
-    return _convex_subset(pts, False, len(pts) + 1 if cap is None else cap)
+    return _convex_walk(pts, False, len(pts) + 1 if cap is None else cap)
 
 
 def max_strictly_convex_subset(points: Sequence[Point]) -> list[Point]:
     """Maximum-cardinality subset in strictly convex position."""
-    return max_convex_subsets(points)[1]
-
-
-def max_convex_subsets(points: Sequence[Point]) -> tuple[list[Point], list[Point]]:
-    """Maximum-cardinality subsets in convex position and in strictly convex
-    position, in that order, from one walk."""
     pts = canonical(validate_points(points))
-    return _convex_walk(pts, False, len(pts) + 1)
-
-
-def _convex_subset(
-    pts: list[Point], strict: bool, target: int, *, empty: bool = False
-) -> list[Point]:
-    """The first answer of ``_convex_walk``: with ``empty``, a hole of
-    ``target`` points, or ``pts[:2]`` when there is none."""
-    return _convex_walk(pts, strict, target, empty)[0]
+    return _convex_walk(pts, True, len(pts) + 1)
 
 
 def _convex_walk(
     pts: list[Point], strict: bool, target: int, empty: bool = False
-) -> tuple[list[Point], list[Point]]:
+) -> list[Point]:
     """The first subset of the canonical ``pts`` in (strictly) convex position
-    met with ``target`` points, else the largest one met; and the largest
-    corner set of a closing chain met.  Both in canonical order.
+    met with ``target`` points, else the largest one met; canonical order.
 
     Up to two points, then (non-strict only) the longest collinear run, come
     first.  Then, for each base point in turn, chains of strict corners are
@@ -192,12 +177,6 @@ def _convex_walk(
     ``pts`` on its closed edges, edge by edge.  Every (strictly) convex
     position subset of three or more non-collinear points lies on such a
     polygon, so an answer shorter than ``target`` is a maximum.
-
-    The second answer starts from ``pts[:2]`` and is the first closing chain
-    with the most corners.  A strict walk stops at ``target`` corners and
-    adds no edge points, and nothing else sets it apart: so a non-strict walk
-    with ``target`` past ``len(pts)`` meets every closing chain a strict one
-    meets, in the same order, and one max walk yields both maxima.
 
     With ``empty`` (used strict, for holes) a chain enters ``p`` only when no
     other point of ``pts`` lies in the closed fan triangle (base, chain[-1],
@@ -211,19 +190,19 @@ def _convex_walk(
     dict keyed by the candidate indices of chain[-1] and p: the same
     decisions come out in the same order, each computed once per base.
     Only a chain of ``target`` corners is tested for closing, so with no
-    hole both answers are ``pts[:2]``.
+    hole the answer is ``pts[:2]``.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
     if target <= 2 or len(pts) <= 2:
-        return pts[:target], pts[:target]
-    best = corners = pts[:2]
+        return pts[:target]
+    best = pts[:2]
     if not strict:
         _, witness = max_collinear(pts)
         if len(witness) > len(best):
             best = witness
         if len(best) >= target:
-            return best[:target], corners
+            return best[:target]
     # A hole search reads only chains of target corners; others close at 3.
     closing = target if empty else 3
     # Points on each closed edge, less its ends; an edge recurs across bases.
@@ -263,8 +242,6 @@ def _convex_walk(
             # increasing angle, since a chain never runs straight on.
             if len(chain) < closing or cross(chain[-2], p, base) <= 0:
                 continue
-            if len(chain) > len(corners):
-                corners = list(chain)
             found = list(chain)
             if not strict:
                 for edge in zip(chain, chain[1:] + [base]):
@@ -277,10 +254,10 @@ def _convex_walk(
                     found.extend(edge_points[edge])
             if len(found) >= target:
                 # Any subset of a convex-position set stays in convex position.
-                return canonical(found[:target]), canonical(corners)
+                return canonical(found[:target])
             if len(found) > len(best):
                 best = found
-    return canonical(best), canonical(corners)
+    return canonical(best)
 
 
 def _fans(pts: list[Point]) -> Iterator[tuple[Point, list[Point]]]:
@@ -290,9 +267,9 @@ def _fans(pts: list[Point]) -> Iterator[tuple[Point, list[Point]]]:
         yield base, angle_order(base, pts[idx + 1 :])
 
 
-def _max_convex_size(pts: list[Point], strict: bool) -> int:
-    """The size of the largest subset of the canonical ``pts`` in (strictly)
-    convex position: the largest answer ``_convex_walk`` can meet.
+def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
+    """The size of the largest subset in (strictly) convex position: the
+    largest answer ``_convex_walk`` can meet, found without walking.
 
     A table over each base's fan (Chvátal and Klincsek, 1980) replaces the
     walk's chains.  ``size[i][j]`` is the most points of a chain base -> ...
@@ -305,6 +282,7 @@ def _max_convex_size(pts: list[Point], strict: bool) -> int:
     inside an edge and the longest run come from the direction groups of
     ``_lines_from``, in O(n²); the table takes O(n⁴).
     """
+    pts = canonical(validate_points(points))
     best = min(len(pts), 2)
     # inner[a, b]: the points strictly inside segment ab, for a < b.
     inner: dict[tuple[Point, Point], int] = {}

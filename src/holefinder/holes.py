@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .convexity import _convex_subset, _segment_clear, convex_hull, in_closed_hull
+from .convexity import _convex_walk, _segment_clear, convex_hull, in_closed_hull
 from .geometry import (
     GeometryError,
     Point,
@@ -106,7 +106,7 @@ def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
         raise GeometryError("holes need k >= 3")
     if len(pts) < k:
         return None
-    found = _convex_subset(pts, True, k, empty=True)
+    found = _convex_walk(pts, True, k, empty=True)
     return HoleCertificate.build(pts, found) if len(found) == k else None
 
 
@@ -169,7 +169,7 @@ def find_visible_5_clique(points: Sequence[Point], ell: int):
     hole = find_k_hole(pts, 5)
     if hole is None:
         raise InconclusiveError(
-            "no 5 collinear points and no 5-hole found; cannot certify a clique"
+            f"no {ell} collinear points and no 5-hole found; cannot certify a clique"
         )
     return list(hole.vertices)
 

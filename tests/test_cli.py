@@ -19,6 +19,7 @@ from holefinder.cli import (
     main,
     write_point_file,
 )
+from holefinder.convexity import max_convex_position_subset, max_strictly_convex_subset
 from holefinder.generators import grid, random_general_position
 from holefinder.geometry import GeometryError, max_collinear
 from holefinder.holes import is_hole
@@ -114,8 +115,8 @@ def test_analyze_square(tmp_path, runner):
     assert "convex_layers: [4]" in result.output
 
 
-def test_analyze_walks_once(tmp_path, runner, monkeypatch):
-    # Both maxima come from one non-strict walk; hole searches walk empty.
+def test_analyze_does_not_walk(tmp_path, runner, monkeypatch):
+    # Both maxima come from the size table; only hole searches walk (empty).
     walk = holefinder.convexity._convex_walk
     walks = []
 
@@ -128,10 +129,15 @@ def test_analyze_walks_once(tmp_path, runner, monkeypatch):
     for name, pts in (("grid4", grid(4)), ("random16", random_general_position(16, 0))):
         path = tmp_path / f"{name}.txt"
         write_point_file(str(path), pts)
+        most = len(max_convex_position_subset(pts))
+        most_strict = len(max_strictly_convex_subset(pts))
         walks.clear()
         result = runner.invoke(main, ["analyze", str(path)])
         assert result.exit_code == 0
-        assert walks == [(False, len(pts) + 1)]
+        assert walks == []
+        # The table's sizes are the walk's.
+        assert f"max_convex_subset: {most}\n" in result.output
+        assert f"max_strictly_convex_subset: {most_strict}\n" in result.output
 
 
 def test_analyze_rejects_bad_file(tmp_path, runner):
@@ -147,8 +153,9 @@ def test_analyze_rejects_bad_file(tmp_path, runner):
         (contextlib.redirect_stderr, "zap\n", ["analyze"]),
         (contextlib.redirect_stdout, None, ["bounds", "5", "4"]),
         (contextlib.redirect_stderr, None, ["bounds", "2", "4"]),
+        (contextlib.redirect_stdout, None, ["--version"]),
     ],
-    ids=["analyze", "analyze-error", "bounds", "bounds-error"],
+    ids=["analyze", "analyze-error", "bounds", "bounds-error", "version"],
 )
 def test_in_process_runs_free_redirected_streams(tmp_path, redirect, text, args):
     # A caller that runs the CLI in process and drops its stream gets the
@@ -174,6 +181,18 @@ def test_analyze_two_points(tmp_path, runner):
     assert result.exit_code == 0
     assert "max_convex_subset: 2" in result.output
     assert "max_strictly_convex_subset: 2" in result.output
+
+
+def test_analyze_convex_maxima_past_forty_points(tmp_path, runner):
+    # The size table is polynomial; a walk over 45 points in convex position
+    # would meet every subset of them.
+    pts = [(i, i * i) for i in range(45)]
+    path = tmp_path / "parabola.txt"
+    write_point_file(str(path), pts)
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 0
+    assert "max_convex_subset: 45\n" in result.output
+    assert "max_strictly_convex_subset: 45\n" in result.output
 
 
 def test_analyze_rejects_undecodable_file(tmp_path, runner):

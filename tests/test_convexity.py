@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 import holefinder.convexity
 from holefinder.convexity import (
-    _max_convex_size,
     _sides,
     convex_hull,
     convex_layers,
@@ -17,6 +16,7 @@ from holefinder.convexity import (
     is_strictly_convex_position,
     k_minimal_convex_subset,
     max_convex_position_subset,
+    max_convex_size,
     max_strictly_convex_subset,
     q_formula,
     strictly_convex_subset_in_convex_position,
@@ -208,15 +208,21 @@ SIZE_SETS = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 @example(grid(3))
 @example(grid(4))
 @example(horton(16))
+@example(horton(16)[::-1])
 def test_max_convex_size_matches_oracle_and_reference(pts):
     # find trusts the table for None, so its size must be exact, not a bound.
     canon = sorted(pts)
     n = len(pts)
     for strict in (False, True):
-        size = _max_convex_size(canon, strict)
+        size = max_convex_size(pts, strict)
         assert size == len(reference_convex_subset(canon, strict, n + 1))
         if n <= 12:
             assert size == oracle_max_convex_subset(pts, strict=strict)
+
+
+def test_max_convex_size_rejects_repeated_point():
+    with pytest.raises(GeometryError):
+        max_convex_size([(0, 0), (1, 2), (0, 0)])
 
 
 def test_refuted_find_does_not_walk(monkeypatch):

@@ -173,7 +173,7 @@ def test_find_visible_5_clique_hole_branch():
 
 
 def test_find_visible_5_clique_inconclusive():
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match="no 4 collinear points"):
         find_visible_5_clique([(x, y) for x in range(3) for y in range(3)], 4)
 
 

@@ -19,7 +19,6 @@ from .geometry import (
     on_closed_segment,
     orientation,
     perturb_general_position,
-    segments_cross_properly,
     validate_points,
 )
 from .convexity import (

@@ -164,7 +164,7 @@ def analyze(input_file: str) -> None:
     print(f"max_collinear: {count}")
     print(f"max_convex_subset: {max_convex_size(pts)}")
     print(f"max_strictly_convex_subset: {max_convex_size(pts, strict=True)}")
-    largest = None
+    largest, searched = "none", False
     for k in range(3, 8):
         limit = (
             DEFAULT_BUDGET.holes_small if k <= 5 else DEFAULT_BUDGET.holes_large
@@ -172,10 +172,14 @@ def analyze(input_file: str) -> None:
         if n > limit:
             print(f"hole_{k}: budget refused ({n} > {limit} points)")
             continue
+        searched = True
         cert = find_k_hole(pts, k)
         if cert is not None:
             largest = k
-    print(f"largest_hole: {largest if largest is not None else 'none'}")
+    if not searched:
+        # "none" would deny the 3-hole of any three non-collinear points.
+        largest = f"budget refused ({n} > {DEFAULT_BUDGET.holes_small} points)"
+    print(f"largest_hole: {largest}")
     # Each peel takes at least one point, so n layers exhaust the set.
     layers, _ = peel_layers(pts, convex_hull(pts).boundary, n)
     print(f"convex_layers: {[len(layer) for layer in layers]}")

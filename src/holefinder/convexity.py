@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 from .geometry import (
     GeometryError,
     Point,
-    _lines_from,
+    _segment_interiors,
     angle_order,
     canonical,
     cross,
@@ -174,9 +174,10 @@ def _convex_walk(
     grown depth first over the later points in angle order around the base.
     A chain that turns convexly back to the base closes a polygon, whose
     subset is its corners, followed in the non-strict case by the points of
-    ``pts`` on its closed edges, edge by edge.  Every (strictly) convex
-    position subset of three or more non-collinear points lies on such a
-    polygon, so an answer shorter than ``target`` is a maximum.
+    ``pts`` inside its edges, edge by edge, as ``_segment_interiors`` lists
+    them.  Every (strictly) convex position subset of three or more
+    non-collinear points lies on such a polygon, so an answer shorter than
+    ``target`` is a maximum.
 
     With ``empty`` (used strict, for holes) a chain enters ``p`` only when no
     other point of ``pts`` lies in the closed fan triangle (base, chain[-1],
@@ -203,10 +204,9 @@ def _convex_walk(
             best = witness
         if len(best) >= target:
             return best[:target]
+        inner = _segment_interiors(pts)
     # A hole search reads only chains of target corners; others close at 3.
     closing = target if empty else 3
-    # Points on each closed edge, less its ends; an edge recurs across bases.
-    edge_points: dict[tuple[Point, Point], list[Point]] = {}
     for base, cand in _fans(pts):
         m = len(cand)
         chain = [base]
@@ -244,14 +244,8 @@ def _convex_walk(
                 continue
             found = list(chain)
             if not strict:
-                for edge in zip(chain, chain[1:] + [base]):
-                    if edge not in edge_points:
-                        a, b = edge
-                        edge_points[edge] = [
-                            q for q in pts
-                            if q not in edge and on_closed_segment(q, a, b)
-                        ]
-                    found.extend(edge_points[edge])
+                for a, b in zip(chain, chain[1:] + [base]):
+                    found.extend(inner[(a, b) if a < b else (b, a)])
             if len(found) >= target:
                 # Any subset of a convex-position set stays in convex position.
                 return canonical(found[:target])
@@ -279,19 +273,15 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
     left turn, so the polygons closed here, where cross(cand[j], cand[i],
     base) > 0, are exactly those the walk closes.  Up to two points, and
     (non-strict) the longest collinear run, count as well.  The points
-    inside an edge and the longest run come from the direction groups of
-    ``_lines_from``, in O(n²); the table takes O(n⁴).
+    inside an edge, and so the longest run, come from
+    ``_segment_interiors`` in O(n²) direction work; the table takes O(n⁴).
     """
     pts = canonical(validate_points(points))
-    best = min(len(pts), 2)
-    # inner[a, b]: the points strictly inside segment ab, for a < b.
+    # inner[a, b]: how many points lie strictly inside segment ab, for a < b.
     inner: dict[tuple[Point, Point], int] = {}
     if not strict:
-        for i in range(len(pts)):
-            for line in _lines_from(pts, i).values():
-                best = max(best, len(line))
-                for t, b in enumerate(line[1:]):
-                    inner[line[0], b] = t
+        inner = {e: len(q) for e, q in _segment_interiors(pts).items()}
+    best = max([min(len(pts), 2)] + [2 + t for t in inner.values()])
     for base, cand in _fans(pts):
         first = [2 + inner.get((base, c), 0) for c in cand]
         size: list[list[int]] = []

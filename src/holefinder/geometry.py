@@ -157,6 +157,23 @@ def _lines_from(pts: Sequence[Point], i: int) -> dict[tuple[int, int], list[Poin
     return lines
 
 
+def _segment_interiors(
+    pts: Sequence[Point],
+) -> dict[tuple[Point, Point], list[Point]]:
+    """For every pair a < b of the canonical ``pts``, the points of ``pts``
+    strictly inside segment ab, in canonical order.
+
+    b lies in the direction group of a, and the points strictly between
+    them are the ones before b in that group, less a.
+    """
+    inner: dict[tuple[Point, Point], list[Point]] = {}
+    for i in range(len(pts)):
+        for line in _lines_from(pts, i).values():
+            for t in range(1, len(line)):
+                inner[line[0], line[t]] = line[1:t]
+    return inner
+
+
 def collinear_groups(points: Sequence[Point]) -> list[list[Point]]:
     """All maximal collinear subsets of size >= 2, points ordered along the line.
 
@@ -249,31 +266,3 @@ def is_general_position(points: Sequence[Point]) -> bool:
         if len({direction(a, b) for b in pts[i + 1 :]}) < n - 1 - i:
             return False
     return True
-
-
-def segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the closed segments ab and cd intersect at a point interior
-    to both, or overlap, excluding the case of a shared endpoint only."""
-    if a in (c, d) or b in (c, d):
-        # Shared endpoint: crossing only if they overlap beyond the endpoint.
-        o1 = cross(a, b, c)
-        o2 = cross(a, b, d)
-        if o1 != 0 or o2 != 0:
-            return False
-        # Collinear with a shared endpoint: proper overlap iff some endpoint
-        # of one segment is strictly inside the other.
-        for p, (v, w) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-            if p not in (v, w) and on_closed_segment(p, v, w):
-                return True
-        return False
-    d1 = cross(c, d, a)
-    d2 = cross(c, d, b)
-    d3 = cross(a, b, c)
-    d4 = cross(a, b, d)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 and d2 and d3 and d4:
-        return True
-    # Touching or collinear overlap cases.
-    for p, (v, w) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-        if on_closed_segment(p, v, w):
-            return True
-    return False

@@ -10,14 +10,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .convexity import _convex_walk, _segment_clear, convex_hull, in_closed_hull
+from .convexity import _convex_walk, convex_hull, in_closed_hull
 from .geometry import (
     GeometryError,
     Point,
+    _segment_interiors,
     canonical,
     cross,
     max_collinear,
-    segments_cross_properly,
     validate_points,
 )
 
@@ -60,7 +60,7 @@ class CollinearCertificate:
 
     @classmethod
     def build(cls, points: Sequence[Point]) -> "CollinearCertificate":
-        pts = list(points)
+        pts = validate_points(points)
         if len(pts) < 2:
             raise GeometryError("a collinear certificate needs at least 2 points")
         a, b = pts[0], pts[1]
@@ -69,13 +69,14 @@ class CollinearCertificate:
         return cls(tuple(sorted(pts)), len(pts))
 
     def verify(self, ambient: Sequence[Point]) -> bool:
-        ambient_set = set(ambient)
-        if any(p not in ambient_set for p in self.points):
+        try:
+            pts = validate_points(self.points)
+        except GeometryError:
+            return False  # a repeated point or a non-integer pair is no line
+        if not len(pts) == self.ell >= 2 or not set(pts) <= set(ambient):
             return False
-        if not len(self.points) == len(set(self.points)) == self.ell >= 2:
-            return False
-        a, b = self.points[0], self.points[-1]
-        return all(p in (a, b) or cross(a, b, p) == 0 for p in self.points)
+        a, b = pts[0], pts[-1]
+        return all(p in (a, b) or cross(a, b, p) == 0 for p in pts)
 
 
 def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
@@ -126,16 +127,14 @@ class VisibilityGraph:
 
 
 def visibility_graph(points: Sequence[Point]) -> VisibilityGraph:
-    """Exact visibility graph: v, w adjacent iff nothing blocks segment vw."""
+    """Exact visibility graph: v, w adjacent iff nothing blocks segment vw,
+    that is, no point of the set lies strictly inside it (O(n²) direction
+    work through ``_segment_interiors``)."""
     pts = canonical(validate_points(points))
     if len(pts) < 2:
         raise GeometryError("visibility graph needs at least 2 points")
-    edges = set()
-    for i, v in enumerate(pts):
-        for w in pts[i + 1 :]:
-            if _segment_clear(pts, v, w):
-                edges.add((v, w))
-    return VisibilityGraph(tuple(pts), frozenset(edges))
+    edges = frozenset(e for e, q in _segment_interiors(pts).items() if not q)
+    return VisibilityGraph(tuple(pts), edges)
 
 
 def is_crossing_free(graph: VisibilityGraph) -> bool:
@@ -143,12 +142,16 @@ def is_crossing_free(graph: VisibilityGraph) -> bool:
 
     No point of the set lies inside a visibility edge, so two edges can
     neither touch nor overlap, and any common point other than a shared
-    endpoint is interior to both.
+    endpoint is interior to both: they cross iff each one's ends lie
+    strictly on opposite sides of the other's line.
     """
     edges = sorted(graph.edges)
     for i, (a, b) in enumerate(edges):
         for c, d in edges[i + 1 :]:
-            if segments_cross_properly(a, b, c, d):
+            if (
+                cross(a, b, c) * cross(a, b, d) < 0
+                and cross(c, d, a) * cross(c, d, b) < 0
+            ):
                 return False
     return True
 

@@ -220,6 +220,9 @@ def test_analyze_budget_refusal_on_large_input(tmp_path, runner):
     result = runner.invoke(main, ["analyze", path])
     assert result.exit_code == 0
     assert "budget refused" in result.output
+    # No hole size was searched, so no answer is claimed.
+    assert "largest_hole: budget refused (49 > 30 points)\n" in result.output
+    assert "largest_hole: none" not in result.output
 
 
 # --- extract ------------------------------------------------------------

@@ -15,7 +15,6 @@ from holefinder.geometry import (
     on_closed_segment,
     orientation,
     perturb_general_position,
-    segments_cross_properly,
     validate_points,
 )
 
@@ -196,13 +195,3 @@ def test_perturbation_property(pts):
     out = perturb_general_position(pts)
     assert is_general_position(out)
     assert len(out) == len(pts)
-
-
-def test_segments_cross_properly():
-    assert segments_cross_properly((0, 0), (2, 2), (0, 2), (2, 0))
-    assert not segments_cross_properly((0, 0), (1, 1), (2, 2), (3, 3))
-    assert segments_cross_properly((0, 0), (3, 3), (1, 1), (5, 5))
-    # Shared endpoint only: not a proper crossing.
-    assert not segments_cross_properly((0, 0), (2, 2), (2, 2), (4, 0))
-    # Touching at an interior point counts.
-    assert segments_cross_properly((0, 0), (4, 0), (2, 0), (2, 2))

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 import holefinder.convexity
 from holefinder.convexity import _triangle_clear
 from holefinder.generators import grid, horton, random_general_position
-from holefinder.geometry import GeometryError
+from holefinder.geometry import (
+    GeometryError,
+    _segment_interiors,
+    canonical,
+    on_closed_segment,
+)
 from holefinder.holes import (
     EXCEPTIONAL_SIX,
     CollinearCertificate,
@@ -128,7 +133,7 @@ def test_collinear_certificate_round_trip():
     assert cert.verify([(0, 0), (1, 1), (2, 2), (5, 0)])
     assert not cert.verify([(0, 0), (1, 1), (5, 0)])  # (2,2) missing
     # A repeated point does not count twice.
-    twice = CollinearCertificate.build([(0, 0), (0, 0), (5, 0)])
+    twice = CollinearCertificate(points=((0, 0), (0, 0), (5, 0)), ell=3)
     assert not twice.verify([(0, 0), (1, 1), (5, 0)])
 
 
@@ -137,12 +142,62 @@ def test_collinear_certificate_rejects_non_collinear():
         CollinearCertificate.build([(0, 0), (1, 1), (2, 0)])
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (0, 0), (5, 7)],  # a repeat fixes no line
+        [(0, 0), (True, 0)],
+        [(0, 0), [1, 1]],
+        [(0, 0), (1, 1, 1)],
+    ],
+)
+def test_collinear_certificate_build_validates_points(points):
+    with pytest.raises(GeometryError):
+        CollinearCertificate.build(points)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [((0, 0), (True, 0)), ((0, 0), [1, 0]), ((0, 0), (1.0, 0))],
+)
+def test_collinear_certificate_verify_rejects_non_integer_points(points):
+    cert = CollinearCertificate(points=points, ell=2)
+    assert cert.verify([(0, 0), (1, 0), (2, 0)]) is False
+
+
 def test_visibility_graph_blocking():
     pts = [(0, 0), (1, 1), (2, 2), (0, 2)]
     graph = visibility_graph(pts)
     assert not graph.adjacent((0, 0), (2, 2))  # blocked by (1,1)
     assert graph.adjacent((0, 0), (1, 1))
     assert graph.adjacent((0, 0), (0, 2))
+
+
+def _lattice_sets(box):
+    width, height = box
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    return st.lists(cell, min_size=2, max_size=16, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(2, 6)).flatmap(_lattice_sets))
+@example([(i, 0) for i in range(6)])
+@example([(x, y) for x in range(4) for y in range(4)])
+def test_segment_interiors_match_the_pairwise_scan(pts):
+    pts = canonical(pts)
+    inner = _segment_interiors(pts)
+    pairs = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+    assert set(inner) == set(pairs)
+    for a, b in pairs:
+        assert inner[a, b] == [
+            q for q in pts if q not in (a, b) and on_closed_segment(q, a, b)
+        ]
+    # The visibility rule pair by pair: nothing of the set on the closed
+    # segment but its ends.
+    assert visibility_graph(pts).edges == {
+        (a, b) for a, b in pairs
+        if all(q in (a, b) or not on_closed_segment(q, a, b) for q in pts)
+    }
 
 
 def test_visibility_graph_complete_for_square():

@@ -10,7 +10,6 @@ from .geometry import (
     Point,
     angle_order,
     canonical,
-    collinear_groups,
     cross,
     in_closed_triangle,
     in_open_triangle,
@@ -37,7 +36,6 @@ from .convexity import (
     k_minimal_convex_subset,
     max_convex_position_subset,
     max_convex_size,
-    max_strictly_convex_subset,
     peel_layers,
     q_formula,
     strictly_convex_subset_in_convex_position,

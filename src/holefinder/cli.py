@@ -310,6 +310,8 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
     """The first violated condition, or None when the certificate is valid."""
     if not isinstance(doc, dict):
         return "document is not a JSON object"
+    if doc.get("kind") == "inconclusive":
+        return "an inconclusive result is not a certificate"
     unknown = set(doc) - CERTIFICATE_FIELDS
     if unknown:
         return f"unknown fields: {sorted(unknown)}"
@@ -335,8 +337,8 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
             return "fewer points than the stated collinearity"
         try:
             cert = CollinearCertificate.build(cert_pts)
-        except GeometryError:
-            return "points are not collinear"
+        except GeometryError as exc:
+            return str(exc)
         return None if cert.verify(pts) else "collinearity check failed"
     if doc["kind"] == "hole":
         if len(cert_pts) != doc["parameter"]:

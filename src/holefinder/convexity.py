@@ -131,17 +131,17 @@ def in_closed_hull(p: Point, hull: HullBoundary) -> bool:
 
 
 def find_convex_position_subset(
-    points: Sequence[Point], k: int, strict: bool = False
+    points: Sequence[Point], k: int
 ) -> Optional[list[Point]]:
-    """A k-point subset in (strictly) convex position, or None.
+    """A k-point subset in convex position, or None.
 
     None is proved by the exact size table of ``max_convex_size``, with no
     walk; a subset that exists is the first one the exhaustive walk meets.
     """
     pts = canonical(validate_points(points))
-    if k > 2 and max_convex_size(pts, strict) < k:
+    if k > 2 and max_convex_size(pts) < k:
         return None
-    found = _convex_walk(pts, strict, k)
+    found = _convex_walk(pts, k)
     return found if len(found) >= k else None
 
 
@@ -154,57 +154,53 @@ def max_convex_position_subset(
     the answer is either ``cap`` points or a maximum subset.
     """
     pts = canonical(validate_points(points))
-    return _convex_walk(pts, False, len(pts) + 1 if cap is None else cap)
+    return _convex_walk(pts, len(pts) + 1 if cap is None else cap)
 
 
-def max_strictly_convex_subset(points: Sequence[Point]) -> list[Point]:
-    """Maximum-cardinality subset in strictly convex position."""
-    pts = canonical(validate_points(points))
-    return _convex_walk(pts, True, len(pts) + 1)
+def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Point]:
+    """The first subset of the canonical ``pts`` in convex position met with
+    ``target`` points, else the largest one met; canonical order.  With
+    ``empty``, the first ``target``-hole met, else ``pts[:2]``.
 
-
-def _convex_walk(
-    pts: list[Point], strict: bool, target: int, empty: bool = False
-) -> list[Point]:
-    """The first subset of the canonical ``pts`` in (strictly) convex position
-    met with ``target`` points, else the largest one met; canonical order.
-
-    Up to two points, then (non-strict only) the longest collinear run, come
-    first.  Then, for each base point in turn, chains of strict corners are
-    grown depth first over the later points in angle order around the base.
-    A chain that turns convexly back to the base closes a polygon, whose
-    subset is its corners, followed in the non-strict case by the points of
-    ``pts`` inside its edges, edge by edge, as ``_segment_interiors`` lists
-    them.  Every (strictly) convex position subset of three or more
+    Up to two points, then (without ``empty``) the longest collinear run,
+    come first.  Then, for each base point in turn, chains of strict corners
+    are grown depth first over the later points in angle order around the
+    base.  A chain that turns convexly back to the base closes a polygon,
+    whose subset is its corners, followed (without ``empty``) by the points
+    of ``pts`` inside its edges, edge by edge, as ``_segment_interiors``
+    lists them.  Every convex-position subset of three or more
     non-collinear points lies on such a polygon, so an answer shorter than
-    ``target`` is a maximum.
+    ``target`` is a maximum.  The longest run is the first longest entry
+    of the same index: anchors ascend, each anchor's lines come in the
+    order of their second point and each line's entries by growing length,
+    so it is the witness of ``max_collinear``.
 
-    With ``empty`` (used strict, for holes) a chain enters ``p`` only when no
-    other point of ``pts`` lies in the closed fan triangle (base, chain[-1],
-    p), or, for the first edge, on the closed segment (base, p).  The closed
-    fan triangles of a polygon from its base cover the closed polygon, so
-    the polygons met are exactly the holes whose least vertex is the base:
-    each hole's fan from its least vertex has empty triangles, and no search
-    is lost.  The segment test only prunes early, since the first fan
-    triangle holds the first edge.  A fan triangle depends on nothing but
-    the base and its two other corners, so each base keeps its verdicts in a
-    dict keyed by the candidate indices of chain[-1] and p: the same
-    decisions come out in the same order, each computed once per base.
-    Only a chain of ``target`` corners is tested for closing, so with no
-    hole the answer is ``pts[:2]``.
+    With ``empty`` (for holes) the subset is the corners alone, a chain
+    stops at ``target`` corners and enters ``p`` only when no other point of
+    ``pts`` lies in the closed fan triangle (base, chain[-1], p), or, for
+    the first edge, on the closed segment (base, p).  The closed fan
+    triangles of a polygon from its base cover the closed polygon, so the
+    polygons met are exactly the holes whose least vertex is the base: each
+    hole's fan from its least vertex has empty triangles, and no search is
+    lost.  The segment test only prunes early, since the first fan triangle
+    holds the first edge.  A fan triangle depends on nothing but the base
+    and its two other corners, so each base keeps its verdicts in a dict
+    keyed by the candidate indices of chain[-1] and p: the same decisions
+    come out in the same order, each computed once per base.  Only a chain
+    of ``target`` corners is tested for closing.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
     if target <= 2 or len(pts) <= 2:
         return pts[:target]
     best = pts[:2]
-    if not strict:
-        _, witness = max_collinear(pts)
-        if len(witness) > len(best):
-            best = witness
+    if not empty:
+        inner = _segment_interiors(pts)
+        (a, b), run = max(inner.items(), key=lambda e: len(e[1]))
+        if run:
+            best = [a, *run, b]
         if len(best) >= target:
             return best[:target]
-        inner = _segment_interiors(pts)
     # A hole search reads only chains of target corners; others close at 3.
     closing = target if empty else 3
     for base, cand in _fans(pts):
@@ -217,7 +213,7 @@ def _convex_walk(
         fan: dict[int, bool] = {}
         while nxt:
             i = nxt[-1]
-            if i == m or (strict and len(chain) == target):
+            if i == m or (empty and len(chain) == target):
                 nxt.pop()
                 chain.pop()
                 continue
@@ -243,7 +239,7 @@ def _convex_walk(
             if len(chain) < closing or cross(chain[-2], p, base) <= 0:
                 continue
             found = list(chain)
-            if not strict:
+            if not empty:
                 for a, b in zip(chain, chain[1:] + [base]):
                     found.extend(inner[(a, b) if a < b else (b, a)])
             if len(found) >= target:
@@ -262,8 +258,8 @@ def _fans(pts: list[Point]) -> Iterator[tuple[Point, list[Point]]]:
 
 
 def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
-    """The size of the largest subset in (strictly) convex position: the
-    largest answer ``_convex_walk`` can meet, found without walking.
+    """The size of the largest subset in (strictly) convex position, found
+    without walking.
 
     A table over each base's fan (Chvátal and Klincsek, 1980) replaces the
     walk's chains.  ``size[i][j]`` is the most points of a chain base -> ...

@@ -174,25 +174,6 @@ def _segment_interiors(
     return inner
 
 
-def collinear_groups(points: Sequence[Point]) -> list[list[Point]]:
-    """All maximal collinear subsets of size >= 2, points ordered along the line.
-
-    Each line is taken from its least point: a group whose anchor already
-    lies on a line of that direction found from an earlier anchor is the
-    tail of that line and is skipped.
-    """
-    pts = canonical(validate_points(points))
-    groups: list[list[Point]] = []
-    tails: set[tuple[Point, tuple[int, int]]] = set()
-    for i, a in enumerate(pts):
-        for d, group in _lines_from(pts, i).items():
-            if (a, d) not in tails:
-                groups.append(group)
-                # The last point has no later points to anchor a tail.
-                tails.update((b, d) for b in group[1:-1])
-    return groups
-
-
 def max_collinear(points: Sequence[Point]) -> tuple[int, list[Point]]:
     """Size of the largest collinear subset and one witness achieving it.
 

@@ -98,16 +98,17 @@ def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
 def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     """A k-hole of the point set, or None if there is none.
 
-    Complete: the convex-position walk ``convexity._convex_walk`` runs in
-    strict mode with every fan triangle from the base required to be empty
-    of other points, which prunes hard while missing nothing.
+    Complete: the convex-position walk ``convexity._convex_walk`` runs with
+    ``empty``, on strict corners with every fan triangle from the base
+    required to be empty of other points, which prunes hard while missing
+    nothing.
     """
     pts = canonical(validate_points(points))
     if k < 3:
         raise GeometryError("holes need k >= 3")
     if len(pts) < k:
         return None
-    found = _convex_walk(pts, True, k, empty=True)
+    found = _convex_walk(pts, k, empty=True)
     return HoleCertificate.build(pts, found) if len(found) == k else None
 
 

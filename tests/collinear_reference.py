@@ -1,12 +1,11 @@
 """Reference collinearity tests for differential tests.
 
-Copies of the line-key grouping behind ``collinear_groups`` and
-``max_collinear``, of the triple loop of ``is_general_position``, of the
-per-anchor collinearity count that ``random_bounded_collinear`` rejected
-its samples with, and of the Horton construction that tested every pair of
-one half against every point of the other.  Each scanned point triples
-(or pairs per candidate); the library's direction-keyed versions must
-return exactly what these return.
+Copies of the line-key grouping behind ``max_collinear``, of the triple
+loop of ``is_general_position``, of the per-anchor collinearity count that
+``random_bounded_collinear`` rejected its samples with, and of the Horton
+construction that tested every pair of one half against every point of the
+other.  Each scanned point triples (or pairs per candidate); the library's
+direction-keyed versions must return exactly what these return.
 """
 
 from __future__ import annotations

@@ -228,7 +228,11 @@ def test_extract_traces_match_reference_search(monkeypatch):
     cases = [_random_instance(seed) for seed in range(40)]
     cases = [(ell, pts) for ell, pts in cases if len(pts) >= 3]
     results = [extract(pts, ExtractionParams(ell=ell)) for ell, pts in cases]
-    monkeypatch.setattr(holefinder.convexity, "_convex_walk", reference_convex_subset)
+    monkeypatch.setattr(
+        holefinder.convexity,
+        "_convex_walk",
+        lambda pts, target: reference_convex_subset(pts, False, target),
+    )
     monkeypatch.setattr(
         holefinder.extractor,
         "k_minimal_convex_subset",

@@ -19,10 +19,12 @@ from holefinder.cli import (
     main,
     write_point_file,
 )
-from holefinder.convexity import max_convex_position_subset, max_strictly_convex_subset
+from holefinder.convexity import max_convex_position_subset
 from holefinder.generators import grid, random_general_position
 from holefinder.geometry import GeometryError, max_collinear
 from holefinder.holes import is_hole
+
+from convex_reference import reference_convex_subset
 
 
 @pytest.fixture
@@ -120,17 +122,17 @@ def test_analyze_does_not_walk(tmp_path, runner, monkeypatch):
     walk = holefinder.convexity._convex_walk
     walks = []
 
-    def counting(pts, strict, target, empty=False):
+    def counting(pts, target, empty=False):
         if not empty:
-            walks.append((strict, target))
-        return walk(pts, strict, target, empty)
+            walks.append(target)
+        return walk(pts, target, empty)
 
     monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
     for name, pts in (("grid4", grid(4)), ("random16", random_general_position(16, 0))):
         path = tmp_path / f"{name}.txt"
         write_point_file(str(path), pts)
         most = len(max_convex_position_subset(pts))
-        most_strict = len(max_strictly_convex_subset(pts))
+        most_strict = len(reference_convex_subset(sorted(pts), True, len(pts) + 1))
         walks.clear()
         result = runner.invoke(main, ["analyze", str(path)])
         assert result.exit_code == 0
@@ -372,6 +374,40 @@ def test_verify_rejects_unknown_fields(tmp_path, runner):
     result = runner.invoke(main, ["verify", path, cert2])
     assert result.exit_code == 1
     assert "unknown fields" in result.output
+
+
+def test_verify_rejects_inconclusive_document(tmp_path, runner):
+    # No 5 collinear points and no 5-hole in the 4x4 grid: extract exits 3
+    # and its document, with an "exhausted" field, is no certificate.
+    path = tmp_path / "grid.txt"
+    write_point_file(str(path), grid(4))
+    out = str(tmp_path / "inc.json")
+    result = runner.invoke(main, ["extract", str(path), "--ell", "5", "--out", out])
+    assert result.exit_code == 3
+    assert json.loads(open(out).read())["exhausted"] is True
+    result = runner.invoke(main, ["verify", str(path), out])
+    assert result.exit_code == 1
+    assert (
+        "invalid certificate: an inconclusive result is not a certificate"
+        in result.output
+    )
+
+
+def test_verify_rejects_one_point_collinear_document(tmp_path, runner):
+    path = write(tmp_path, "p.txt", PENTA_TEXT)
+    doc = {
+        "kind": "collinear",
+        "parameter": 1,
+        "points": [[0, 0]],
+        "tool_version": "1.0.0",
+    }
+    cert = write(tmp_path, "cert.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert])
+    assert result.exit_code == 1
+    assert (
+        "invalid certificate: a collinear certificate needs at least 2 points"
+        in result.output
+    )
 
 
 def test_verify_rejects_tampered_points(tmp_path, runner):

@@ -17,7 +17,6 @@ from holefinder.convexity import (
     k_minimal_convex_subset,
     max_convex_position_subset,
     max_convex_size,
-    max_strictly_convex_subset,
     q_formula,
     strictly_convex_subset_in_convex_position,
 )
@@ -110,13 +109,13 @@ def test_find_convex_position_subset_counts_edge_points():
     pts = [(0, 0), (2, 0), (3, 3), (1, 1)]  # (1,1) lies on the (3,3)-(0,0) edge
     found = find_convex_position_subset(pts, 4)
     assert found is not None and is_convex_position(found)
-    assert find_convex_position_subset(pts, 4, strict=True) is None
+    assert max_convex_size(pts, strict=True) == 3
 
 
 def test_max_subsets_on_grid():
     grid = [(x, y) for x in range(3) for y in range(3)]
     assert len(max_convex_position_subset(grid)) == 8
-    assert len(max_strictly_convex_subset(grid)) == 6  # hexagon in the 3x3 grid
+    assert max_convex_size(grid, strict=True) == 6  # hexagon in the 3x3 grid
 
 
 def test_max_convex_position_subset_cap():
@@ -139,22 +138,18 @@ LATTICE_SETS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(LATTICE_SETS)
 def test_convex_search_matches_oracle(pts):
-    for strict in (False, True):
-        size = oracle_max_convex_subset(pts, strict=strict)
-        if strict:
-            largest = max_strictly_convex_subset(pts)
-            in_position = is_strictly_convex_position
-        else:
-            largest = max_convex_position_subset(pts)
-            in_position = is_convex_position
-        assert len(largest) == size and set(largest) <= set(pts)
-        assert in_position(largest)
-        for k in range(1, len(pts) + 2):
-            found = find_convex_position_subset(pts, k, strict=strict)
-            assert (found is not None) == (k <= size)
-            if found is not None:
-                assert len(set(found)) == k and set(found) <= set(pts)
-                assert in_position(found)
+    size = oracle_max_convex_subset(pts, strict=False)
+    largest = max_convex_position_subset(pts)
+    assert len(largest) == size and set(largest) <= set(pts)
+    assert is_convex_position(largest)
+    for k in range(1, len(pts) + 2):
+        found = find_convex_position_subset(pts, k)
+        assert (found is not None) == (k <= size)
+        if found is not None:
+            assert len(set(found)) == k and set(found) <= set(pts)
+            assert is_convex_position(found)
+    # Strict subsets are only counted, by the size table.
+    assert max_convex_size(pts, strict=True) == oracle_max_convex_subset(pts, strict=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,15 +164,18 @@ def test_convex_search_matches_oracle(pts):
 # The strict maximum (four corners) is not the corner set of the non-strict
 # maximum, whose fourth point (1, 1) lies on an edge.
 @example([(0, 1), (1, 1), (2, 2), (3, 0), (4, 1)])
+# Two longest runs tie: the vertical one, from the least second point, leads.
+@example([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)])
+# A run of five is at least every target up to 5: the walk returns it early.
+@example([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (0, 3), (3, 0)])
 def test_convex_search_matches_reference(pts):
     canon = sorted(pts)
     n = len(pts)
-    for strict in (False, True):
-        for k in range(1, n + 2):
-            assert find_convex_position_subset(pts, k, strict) == reference_find(
-                pts, k, strict
-            )
-    assert max_strictly_convex_subset(pts) == reference_convex_subset(canon, True, n + 1)
+    for k in range(1, n + 2):
+        assert find_convex_position_subset(pts, k) == reference_find(pts, k)
+    assert max_convex_size(pts, strict=True) == len(
+        reference_convex_subset(canon, True, n + 1)
+    )
     assert max_convex_position_subset(pts) == reference_convex_subset(canon, False, n + 1)
     for cap in range(1, n + 2):
         assert max_convex_position_subset(pts, cap=cap) == reference_convex_subset(
@@ -231,15 +229,15 @@ def test_refuted_find_does_not_walk(monkeypatch):
     walk = holefinder.convexity._convex_walk
     walks = []
 
-    def counting(pts, strict, target, empty=False):
-        walks.append((strict, target))
-        return walk(pts, strict, target, empty)
+    def counting(pts, target, empty=False):
+        walks.append(target)
+        return walk(pts, target, empty)
 
     monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
     assert find_convex_position_subset(pts, most + 1) is None
     assert walks == []
     assert len(find_convex_position_subset(pts, most)) == most
-    assert walks == [(False, most)]
+    assert walks == [most]
 
 
 def test_q_formula_values():

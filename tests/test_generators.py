@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from holefinder.convexity import (
     is_convex_position,
-    max_strictly_convex_subset,
+    max_convex_size,
     q_formula,
 )
 from holefinder.generators import (
@@ -42,7 +42,7 @@ def test_every_second_side_is_extremal(k, ell):
     assert is_convex_position(pts)
     assert max_collinear(pts)[0] == ell - 1  # ell collinear never occurs
     # No k points in strictly convex position either.
-    assert len(max_strictly_convex_subset(pts)) == k - 1
+    assert max_convex_size(pts, strict=True) == k - 1
 
 
 def test_every_second_side_small_k():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from holefinder.geometry import (
     GeometryError,
     canonical,
-    collinear_groups,
     cross,
     direction,
     in_closed_triangle,
@@ -19,7 +18,6 @@ from holefinder.geometry import (
 )
 
 from collinear_reference import (
-    reference_collinear_groups,
     reference_is_general_position,
     reference_max_collinear,
 )
@@ -101,13 +99,6 @@ def test_open_triangle_excludes_boundary_and_degenerate_is_empty():
     assert not in_open_triangle((1, 0), (0, 0), (2, 0), (3, 0))
 
 
-def test_collinear_groups_finds_all_lines():
-    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
-    groups = {tuple(g) for g in collinear_groups(pts)}
-    assert ((0, 0), (1, 0), (2, 0)) in groups
-    assert ((0, 0), (0, 1), (0, 2)) in groups
-
-
 def test_max_collinear_counts_and_witness():
     count, witness = max_collinear([(0, 0), (1, 1), (2, 2), (5, 0)])
     assert count == 3
@@ -163,7 +154,6 @@ def test_direction_is_reduced_and_sign_fixed():
 def test_collinearity_matches_reference(pts):
     if pts:
         assert max_collinear(pts) == reference_max_collinear(pts)
-    assert sorted(collinear_groups(pts)) == sorted(reference_collinear_groups(pts))
     assert is_general_position(pts) == reference_is_general_position(pts)
 
 

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import holefinder
 
 
@@ -17,10 +19,26 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_one_chain_engine():
-    # Every angle-ordered fan comes from convexity._fans, which the chain
-    # walk and the size table share.
-    callers = set()
+@pytest.mark.parametrize(
+    "callee, callers",
+    [
+        # Every angle-ordered fan comes from convexity._fans, which the chain
+        # walk and the size table share.
+        ("angle_order", {"convexity._fans"}),
+        # One walk with two modes: convex-position subsets and holes.
+        (
+            "_convex_walk",
+            {
+                "convexity.find_convex_position_subset",
+                "convexity.max_convex_position_subset",
+                "holes.find_k_hole",
+            },
+        ),
+    ],
+    ids=["angle_order", "_convex_walk"],
+)
+def test_one_chain_engine(callee, callers):
+    found = set()
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         # ast.walk goes outside in, so a nested function overwrites its parent.
@@ -30,9 +48,9 @@ def test_one_chain_engine():
                 for node in ast.walk(func):
                     scope[node] = getattr(func, "name", "<lambda>")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "angle_order" in (
+            if isinstance(node, ast.Call) and callee in (
                 getattr(node.func, "id", None),
                 getattr(node.func, "attr", None),
             ):
-                callers.add(f"{path.stem}.{scope.get(node, '<module>')}")
-    assert callers == {"convexity._fans"}
+                found.add(f"{path.stem}.{scope.get(node, '<module>')}")
+    assert found == callers

@@ -188,7 +188,7 @@ def analyze(input_file: str) -> None:
 @main.command(name="extract")
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ell", type=int, required=True, help="Collinearity target (>= 2).")
-@click.option("--k", type=int, default=None, help="Convex-position target size.")
+@click.option("--k", type=int, default=None, help="Convex-position target size (>= 1).")
 @click.option("--no-fallback", is_flag=True, help="Skip the complete-search fallback.")
 @click.option("--trace", "with_trace", is_flag=True, help="Embed the proof trace.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

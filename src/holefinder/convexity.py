@@ -178,16 +178,20 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
     With ``empty`` (for holes) the subset is the corners alone, a chain
     stops at ``target`` corners and enters ``p`` only when no other point of
     ``pts`` lies in the closed fan triangle (base, chain[-1], p), or, for
-    the first edge, on the closed segment (base, p).  The closed fan
-    triangles of a polygon from its base cover the closed polygon, so the
-    polygons met are exactly the holes whose least vertex is the base: each
-    hole's fan from its least vertex has empty triangles, and no search is
-    lost.  The segment test only prunes early, since the first fan triangle
-    holds the first edge.  A fan triangle depends on nothing but the base
-    and its two other corners, so each base keeps its verdicts in a dict
-    keyed by the candidate indices of chain[-1] and p: the same decisions
-    come out in the same order, each computed once per base.  Only a chain
-    of ``target`` corners is tested for closing.
+    the first edge, inside the segment (base, p).  The closed fan triangles
+    of a polygon from its base cover the closed polygon, so the polygons
+    met are exactly the holes whose least vertex is the base: each hole's
+    fan from its least vertex has empty triangles, and no search is lost.
+    The first-edge test only prunes early, since the first fan triangle
+    holds the first edge, and it is read off the fan: every candidate lies
+    lexicographically above the base, so a point collinear with base and p
+    lies on p's ray, and the fan orders each ray by distance.  The points
+    inside segment (base, p) are the same-ray candidates just before p.  A
+    fan triangle depends on nothing but the base and its two other corners,
+    so each base keeps its verdicts in a dict keyed by the candidate
+    indices of chain[-1] and p: the same decisions come out in the same
+    order, each computed once per base.  Only a chain of ``target`` corners
+    is tested for closing.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
@@ -229,7 +233,7 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
                         clear = fan[key] = _triangle_clear(pts, base, chain[-1], p)
                     if not clear:
                         continue
-            elif empty and not _segment_clear(pts, base, p):
+            elif empty and i and cross(base, cand[i - 1], p) == 0:
                 continue
             chain.append(p)
             nxt.append(i + 1)
@@ -299,11 +303,6 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
                     best = max(best, most + first[i] - 2)
             size.append(row)
     return best
-
-
-def _segment_clear(pts: list[Point], a: Point, b: Point) -> bool:
-    """True iff no point of ``pts`` but a and b lies on the closed segment ab."""
-    return all(p in (a, b) or not on_closed_segment(p, a, b) for p in pts)
 
 
 def _triangle_clear(pts: list[Point], a: Point, b: Point, c: Point) -> bool:

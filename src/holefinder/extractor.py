@@ -200,6 +200,8 @@ def extract(points: Sequence[Point], params: ExtractionParams) -> ExtractionResu
         raise GeometryError("extract needs at least 3 points")
     if params.ell < 2:
         raise GeometryError("extract needs ell >= 2")
+    if params.k is not None and params.k < 1:
+        raise GeometryError("extract needs k >= 1")
     trace: list[TraceStep] = []
     ell = params.ell
 
@@ -376,17 +378,11 @@ def _walk(
         trace.append(TraceStep("claim-b-4hole", {"points": [x, y, p, q]}))
 
         if not is_empty_arc(pq, decomposition):
-            # The follower's own triangle traps a deeper point: harvest.
+            # The follower's own triangle traps a deeper point: harvest.  It
+            # is one of this layer (is_empty_arc scanned only these), and an
+            # open triangle holds none of its own vertices.
             deeper = decomposition.layers[pq.layer_index]
-            inside = [
-                r for r in deeper if in_open_triangle(r, p, q, z) and r not in (p, q)
-            ]
-            if not inside:
-                inside = [
-                    r
-                    for r in pts
-                    if r not in (p, q, z) and in_open_triangle(r, p, q, z)
-                ]
+            inside = [r for r in deeper if in_open_triangle(r, p, q, z)]
             r = _closest_to_line(inside, p, q)
             result = _verified_hole(pts, [x, y, p, q, r], "claim-b-empty-harvest", trace)
             return result  # verified or fall back via None
@@ -435,7 +431,8 @@ def _walk(
         ),
         None,
     )
-    if j is None or j > len(xs):
+    # Every follower was aligned, so len(xs) == ell - 1 >= j.
+    if j is None:
         trace.append(TraceStep("left-aligned-exhaustion", {}))
         return None
     candidate = [xs[j - 3], ys[j - 3], ys[j - 2], ys[j - 1], xs[j - 2]]

@@ -1,8 +1,9 @@
 """Exact integer predicates on planar points.
 
 Points are ``(x, y)`` tuples of Python ints, so every predicate below is an
-exact sign computation; there is no floating point anywhere in this package's
-decision paths.
+exact sign computation, and so is every geometric decision of this package.
+Only the CLI's ``bounds`` estimate of how many digits it would print uses
+logarithms.
 """
 
 from __future__ import annotations
@@ -79,17 +80,12 @@ def orientation(a: Point, b: Point, c: Point) -> int:
 
 
 def on_closed_segment(p: Point, v: Point, w: Point) -> bool:
-    """True iff p lies on the closed segment [v, w]."""
+    """True iff p lies on the closed segment [v, w]: on line vw and between
+    v and w in (x, y) order, which along a line is the order of position (x
+    is strictly monotone on a non-vertical line, and y on a vertical one)."""
     if v == w:
         raise GeometryError("degenerate segment")
-    if p == v or p == w:
-        return True
-    if cross(v, w, p) != 0:
-        return False
-    return (
-        min(v[0], w[0]) <= p[0] <= max(v[0], w[0])
-        and min(v[1], w[1]) <= p[1] <= max(v[1], w[1])
-    )
+    return cross(v, w, p) == 0 and min(v, w) <= p <= max(v, w)
 
 
 def in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
@@ -102,9 +98,7 @@ def in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
         raise GeometryError("triangle vertices must not all coincide")
     if cross(a, b, c) == 0:
         # Degenerate: the covering segment is between the two extreme vertices.
-        vs = sorted({a, b, c})
-        lo, hi = vs[0], vs[-1]
-        return on_closed_segment(p, lo, hi) if lo != hi else p == lo
+        return on_closed_segment(p, min(a, b, c), max(a, b, c))
     s1 = cross(a, b, p)
     s2 = cross(b, c, p)
     s3 = cross(c, a, p)

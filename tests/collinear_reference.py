@@ -5,7 +5,9 @@ loop of ``is_general_position``, of the per-anchor collinearity count that
 ``random_bounded_collinear`` rejected its samples with, and of the Horton
 construction that tested every pair of one half against every point of the
 other.  Each scanned point triples (or pairs per candidate); the library's
-direction-keyed versions must return exactly what these return.
+direction-keyed versions must return exactly what these return.  The
+bounding-box segment test is kept too: the library's lexicographic
+betweenness must agree with it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,20 @@ def reference_max_collinear(points: Sequence[Point]) -> tuple[int, list[Point]]:
         if len(group) > len(best) or (len(group) == len(best) and group < best):
             best = group
     return len(best), best
+
+
+def reference_on_closed_segment(p: Point, v: Point, w: Point) -> bool:
+    """True iff p lies on the closed segment [v, w]."""
+    if v == w:
+        raise GeometryError("degenerate segment")
+    if p == v or p == w:
+        return True
+    if cross(v, w, p) != 0:
+        return False
+    return (
+        min(v[0], w[0]) <= p[0] <= max(v[0], w[0])
+        and min(v[1], w[1]) <= p[1] <= max(v[1], w[1])
+    )
 
 
 def reference_is_general_position(points: Sequence[Point]) -> bool:

@@ -308,6 +308,13 @@ def test_extract_rejects_bad_ell(tmp_path, runner):
     assert result.exit_code == 2
 
 
+def test_extract_rejects_bad_k(tmp_path, runner):
+    path = write(tmp_path, "sq.txt", SQUARE_TEXT)
+    result = runner.invoke(main, ["extract", path, "--ell", "6", "--k", "0"])
+    assert result.exit_code == 2
+    assert result.output == "error: extract needs k >= 1\n"
+
+
 # --- generate -----------------------------------------------------------
 
 

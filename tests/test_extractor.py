@@ -151,6 +151,12 @@ def test_extract_validates_input():
         extract([(0, 0), (1, 1), (2, 0)], ExtractionParams(ell=1))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_extract_rejects_k_below_one(k):
+    with pytest.raises(GeometryError, match=r"^extract needs k >= 1$"):
+        extract([(0, 0), (1, 1), (2, 0)], ExtractionParams(ell=3, k=k))
+
+
 # --- arc-level unit tests on a hand-built decomposition -----------------
 
 OUTER = ((-20, -20), (-20, 20), (20, -20), (20, 20))

@@ -20,6 +20,7 @@ from holefinder.geometry import (
 from collinear_reference import (
     reference_is_general_position,
     reference_max_collinear,
+    reference_on_closed_segment,
 )
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -75,6 +76,26 @@ def test_on_closed_segment():
     assert on_closed_segment((0, 0), (0, 0), (2, 2))
     assert not on_closed_segment((3, 3), (0, 0), (2, 2))
     assert not on_closed_segment((1, 0), (0, 0), (2, 2))
+
+
+box = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=400)
+@given(box, box, box)
+@example((0, 1), (0, -2), (0, 3))  # vertical: y alone orders the line
+@example((0, 4), (0, -2), (0, 3))
+@example((1, 0), (-2, 0), (3, 0))  # horizontal
+@example((4, 0), (3, 0), (-2, 0))
+@example((-2, 0), (-2, 0), (3, 0))  # an endpoint
+@example((3, 0), (-2, 0), (3, 0))
+@example((1, 1), (-1, -1), (1, 1))
+def test_on_closed_segment_matches_bounding_box_test(p, v, w):
+    if v == w:
+        with pytest.raises(GeometryError):
+            on_closed_segment(p, v, w)
+        return
+    assert on_closed_segment(p, v, w) == reference_on_closed_segment(p, v, w)
 
 
 def test_in_closed_triangle_interior_boundary_outside():

@@ -82,13 +82,30 @@ def test_find_k_hole_empty_triangle_blocked_by_edge_point():
 @example(horton(32))
 @example(grid(6))
 @example(random_general_position(33, seed=75))
+# Four points on one ray from the least point: the hole walk tells the clear
+# first edge from the blocked ones by the fan order alone.  The first holes
+# start on the horizontal and diagonal rays; the vertical ray comes last in
+# the fan, so no chain grows from it.
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 3), (1, 2)])  # horizontal
+@example([(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (3, 2), (2, 1)])  # vertical
+@example([(0, 0), (1, 1), (2, 2), (3, 3), (3, 4), (2, 5), (1, 3)])  # diagonal
 def test_find_k_hole_matches_reference(pts):
     for k in range(3, 8):
         assert find_k_hole(pts, k) == reference_k_hole(pts, k)
 
 
-def test_find_k_hole_never_grows_a_blocked_first_edge(monkeypatch):
-    # The first fan triangle holds the first edge, so the segment test
+@pytest.mark.parametrize(
+    "pts, blocked",
+    [
+        ([(0, 0), (1, 0), (2, 0), (0, 2), (2, 2), (1, 3)], (2, 0)),
+        # The half-plane's boundary ray: nothing follows it in the fan.
+        ([(0, 0), (0, 1), (0, 2), (2, 0), (2, 2), (3, 1)], (0, 2)),
+        ([(0, 0), (1, 1), (2, 2), (0, 2), (2, 4), (1, 4)], (2, 2)),
+    ],
+    ids=["horizontal", "vertical", "diagonal"],
+)
+def test_find_k_hole_never_grows_a_blocked_first_edge(monkeypatch, pts, blocked):
+    # The first fan triangle holds the first edge, so the first-edge test
     # changes no answer; it stops a chain before any fan triangle on a
     # blocked first edge is tested.
     tested = []
@@ -98,9 +115,8 @@ def test_find_k_hole_never_grows_a_blocked_first_edge(monkeypatch):
         return _triangle_clear(pts, a, b, c)
 
     monkeypatch.setattr(holefinder.convexity, "_triangle_clear", recording)
-    pts = [(0, 0), (1, 0), (2, 0), (0, 2), (2, 2), (1, 3)]
     assert find_k_hole(pts, 6) is None
-    assert tested and ((0, 0), (2, 0)) not in tested
+    assert tested and ((0, 0), blocked) not in tested
 
 
 def test_hole_certificate_clockwise_order():

@@ -34,8 +34,18 @@ def test_library_has_no_assert_statements():
                 "holes.find_k_hole",
             },
         ),
+        # No per-candidate segment scan: the hole walk reads its first edge
+        # from the fan order.
+        (
+            "on_closed_segment",
+            {
+                "geometry.in_closed_triangle",
+                "convexity.in_closed_hull",
+                "extractor.classify_alignment",
+            },
+        ),
     ],
-    ids=["angle_order", "_convex_walk"],
+    ids=["angle_order", "_convex_walk", "on_closed_segment"],
 )
 def test_one_chain_engine(callee, callers):
     found = set()

@@ -95,11 +95,17 @@ class ExtractionResult:
 
 
 class FollowerError(GeometryError):
-    """The follower of an arc could not be determined (degenerate geometry)."""
+    """No next-layer arc separates the apex from the midpoint of an empty arc.
+
+    With the apex inside the next layer's hull, as in every decomposition
+    that ``extract`` walks, this means the midpoint lies in that closed hull.
+    """
 
 
 def arcs_of_layer(decomposition: LayerDecomposition, index: int) -> list[Arc]:
     """The clockwise arcs of layer ``index`` (1-based)."""
+    if not 1 <= index <= len(decomposition.layers):
+        raise GeometryError(f"no layer {index} in 1..{len(decomposition.layers)}")
     layer = decomposition.layers[index - 1]
     if len(layer) < 3:
         raise GeometryError(f"layer {index} has fewer than 3 points")
@@ -108,69 +114,70 @@ def arcs_of_layer(decomposition: LayerDecomposition, index: int) -> list[Arc]:
     return [Arc(boundary[j], boundary[(j + 1) % m], index) for j in range(m)]
 
 
+def _next_layer(arc: Arc, decomposition: LayerDecomposition) -> tuple[Point, ...]:
+    """The layer after the arc's; the innermost layer has none."""
+    if not 1 <= arc.layer_index < len(decomposition.layers):
+        raise GeometryError(f"no layer after layer {arc.layer_index}")
+    return decomposition.layers[arc.layer_index]
+
+
 def is_empty_arc(arc: Arc, decomposition: LayerDecomposition) -> bool:
     """True iff the open triangle from the arc to the apex misses the next
     layer entirely (degenerate triangles count as empty)."""
+    nxt = _next_layer(arc, decomposition)
     z = decomposition.apex
     if z is None:
         raise GeometryError("decomposition has no apex")
-    nxt = decomposition.layers[arc.layer_index]
     if cross(arc.start, arc.end, z) == 0:
         return True
     return not any(in_open_triangle(p, arc.start, arc.end, z) for p in nxt)
 
 
 def follower(arc: Arc, decomposition: LayerDecomposition) -> Arc:
-    """The arc of the next layer meeting the triangle of an empty arc."""
+    """The next-layer arc crossed by the segment from the apex to the
+    midpoint of an empty arc."""
     if not is_empty_arc(arc, decomposition):
         raise GeometryError("follower is only defined for empty arcs")
     z = decomposition.apex
     x, y = arc.start, arc.end
+    # extract's apex lies strictly inside every layer's hull and its layers
+    # have 3 or more points, so these two only reject hand-built input.
     if cross(x, y, z) == 0:
-        raise FollowerError("arc is collinear with the apex")
+        raise GeometryError("arc is collinear with the apex")
     nxt = decomposition.layers[arc.layer_index]
     if len(nxt) < 2:
-        raise FollowerError("next layer too small for arcs")
-    boundary = convex_hull(list(nxt)).boundary
-    result = _crossed_arc(x, y, z, boundary)
-    if result is None:
-        raise FollowerError("could not isolate the crossed arc")
-    p, q = result
-    return Arc(p, q, arc.layer_index + 1)
+        raise GeometryError("next layer too small for arcs")
+    crossed = _crossed_arc(x, y, z, convex_hull(list(nxt)).boundary)
+    if crossed is None:
+        raise FollowerError("the arc's midpoint lies in the next layer's hull")
+    return Arc(crossed[0], crossed[1], arc.layer_index + 1)
 
 
 def _crossed_arc(
     x: Point, y: Point, z: Point, boundary: Sequence[Point]
 ) -> Optional[tuple[Point, Point]]:
-    """The boundary arc crossed by a ray from z toward the segment xy.
+    """The boundary arc that the segment from z to the midpoint t of xy
+    crosses, or None.
 
-    Several rational targets t = x + (num/den)(y - x) are tried so that a
-    ray hitting a boundary vertex exactly can be replaced by a nearby one
-    that does not.  All points are scaled by den, so that t is an integer
-    point and every test is an exact orientation sign.
+    Points are doubled, so that t is an integer point and every test is an
+    exact orientation sign.  The segment must cross the line of an arc
+    strictly between z and t, at a point of the closed arc.  That point lies
+    in the open triangle xyz, which for an empty arc holds no point of the
+    next layer, so it is never a vertex of the boundary.
     """
+    t = (x[0] + y[0], x[1] + y[1])
+    zs = (2 * z[0], 2 * z[1])
     m = len(boundary)
-    for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5)):
-        t = (x[0] * (den - num) + y[0] * num, x[1] * (den - num) + y[1] * num)
-        zs = (z[0] * den, z[1] * den)
-        hit_vertex = False
-        for j in range(m):
-            a, b = boundary[j], boundary[(j + 1) % m]
-            as_, bs = (a[0] * den, a[1] * den), (b[0] * den, b[1] * den)
-            # The segment zt must cross line ab strictly between z and t ...
-            sz, st = cross(as_, bs, zs), cross(as_, bs, t)
-            if not ((sz > 0 > st) or (sz < 0 < st)):
-                continue
-            # ... at a point of the closed edge ab.
-            sa, sb = cross(zs, t, as_), cross(zs, t, bs)
-            if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
-                continue
-            if sa == 0 or sb == 0:
-                hit_vertex = True
-                break
-            return a, b
-        if not hit_vertex:
-            return None
+    for j in range(m):
+        a, b = boundary[j], boundary[(j + 1) % m]
+        as_, bs = (2 * a[0], 2 * a[1]), (2 * b[0], 2 * b[1])
+        sz, st = cross(as_, bs, zs), cross(as_, bs, t)
+        if not ((sz > 0 > st) or (sz < 0 < st)):
+            continue
+        sa, sb = cross(zs, t, as_), cross(zs, t, bs)
+        if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
+            continue
+        return a, b
     return None
 
 
@@ -261,43 +268,32 @@ def _run_machinery(
     # Past n + 1 layers every layer is empty padding: the answer is the same.
     ell = min(ell, len(pts) + 1)
 
-    ground = pts
-    for restart in range(len(pts) + 1):
-        outer = k_minimal_convex_subset(ground, k)
-        decomposition = LayerDecomposition.build(pts, outer, ell, k)
-        trace.append(
-            TraceStep(
-                "layers",
-                {"sizes": decomposition.sizes(), "restart": restart, "k": k},
-            )
-        )
+    outer = k_minimal_convex_subset(pts, k)
+    decomposition = LayerDecomposition.build(pts, outer, ell, k)
+    trace.append(TraceStep("layers", {"sizes": decomposition.sizes(), "k": k}))
 
-        harvested = _window_harvest(pts, decomposition, ell, trace)
-        if harvested is not None:
-            return harvested
+    harvested = _window_harvest(pts, decomposition, ell, trace)
+    if harvested is not None:
+        return harvested
 
-        sizes = decomposition.sizes()
-        if any(sizes[i] < 3 for i in range(ell - 1)) or sizes[ell - 1] == 0:
-            trace.append(TraceStep("layers-too-thin", {"sizes": sizes}))
-            return None
+    sizes = decomposition.sizes()
+    if any(sizes[i] < 3 for i in range(ell - 1)) or sizes[ell - 1] == 0:
+        trace.append(TraceStep("layers-too-thin", {"sizes": sizes}))
+        return None
 
-        arcs = arcs_of_layer(decomposition, 1)
-        empty_arcs = [
-            a
-            for a in arcs
-            if is_empty_arc(a, decomposition)
-            and cross(a.start, a.end, decomposition.apex) != 0
-        ]
-        if not empty_arcs:
-            # Contradicts minimality of the outer layer: restart from the
-            # second layer, whose hull is properly smaller.
-            trace.append(TraceStep("restart", {"restart": restart}))
-            inner_hull = convex_hull(list(decomposition.layers[1]))
-            ground = [p for p in pts if in_closed_hull(p, inner_hull)]
-            continue
-        return _walk(pts, decomposition, ell, empty_arcs[0], trace)
-    trace.append(TraceStep("restart-limit", {}))
-    return None
+    # Each peel takes every boundary point of what is left, so the apex lies
+    # strictly inside layer 2's hull and no outer arc is collinear with it.
+    # The outer arcs' open triangles are disjoint; if each held a point of
+    # layer 2, those points would be >= k points in convex position whose
+    # hull misses every outer corner, strictly inside the outer hull, against
+    # k-minimality.  So some outer arc is empty.
+    first = next(
+        (a for a in arcs_of_layer(decomposition, 1) if is_empty_arc(a, decomposition)),
+        None,
+    )
+    if first is None:
+        raise GeometryError("outer layer has no empty arc: not k-minimal")
+    return _walk(pts, decomposition, ell, first, trace)
 
 
 def _window_harvest(
@@ -409,13 +405,18 @@ def _walk(
         ys.append(q)
         arc = pq
 
-    # All followers aligned: locate the pivot indices of the terminal harvest.
-    first_bend = next(
-        (i for i in range(2, ell - 1) if alignments.get(i) != "double"), None
-    )
-    if first_bend is None:
-        trace.append(TraceStep("double-aligned-exhaustion", {}))
-        return None
+    # Every follower was aligned.  A double or left tag at i puts x_i strictly
+    # inside segment x_{i-1} z (the chain points and z lie on distinct
+    # layers), and a double or right tag does the same for y_i.  A chain
+    # with no tag of the other side would put ell - 1 points on a line with
+    # z, and extract has ruled out ell collinear points (ell - 1 layers of 3
+    # points fit, so this is extract's own ell).  So both a left and a right
+    # tag occur (for ell = 3 every tag was a violation): the first tag that
+    # is not double comes before ell - 1, and after the mirror some later
+    # tag is not left.
+    if not {"left", "right"} <= set(alignments.values()):
+        raise GeometryError(f"{ell} collinear points on a ray from the apex")
+    first_bend = next(i for i in range(2, ell - 1) if alignments[i] != "double")
     if alignments[first_bend] == "right":
         xs, ys = ys, xs
         alignments = {
@@ -423,17 +424,6 @@ def _walk(
             for i, t in alignments.items()
         }
         trace.append(TraceStep("mirror", {}))
-    j = next(
-        (
-            idx
-            for idx in range(first_bend + 1, ell)
-            if alignments.get(idx) != "left"
-        ),
-        None,
-    )
-    # Every follower was aligned, so len(xs) == ell - 1 >= j.
-    if j is None:
-        trace.append(TraceStep("left-aligned-exhaustion", {}))
-        return None
+    j = next(i for i in range(first_bend + 1, ell) if alignments[i] != "left")
     candidate = [xs[j - 3], ys[j - 3], ys[j - 2], ys[j - 1], xs[j - 2]]
     return _verified_hole(pts, candidate, "terminal-harvest", trace)

@@ -21,7 +21,6 @@ from holefinder.convexity import (
     es_bound,
     is_convex_position,
     is_strictly_convex_position,
-    k_minimal_convex_subset,
     q_formula,
     strictly_convex_subset_in_convex_position,
 )
@@ -41,6 +40,7 @@ from holefinder.generators import (
     random_general_position,
 )
 from holefinder.geometry import (
+    GeometryError,
     cross,
     is_general_position,
     max_collinear,
@@ -290,24 +290,17 @@ def test_criterion_8_claim_c_violation_path(tmp_path):
     assert kinds[-1] == "claim-c-violation-harvest"
 
 
-def test_criterion_8_restart_path(monkeypatch):
+def test_criterion_8_non_minimal_outer_layer_is_refused(monkeypatch):
+    # A 6-minimal outer layer always has an empty arc; this hexagon, whose
+    # arc triangles all hold a point of layer 2, is not 6-minimal.
     hexagon = [(41, 3), (19, 36), (-22, 34), (-40, -2), (-18, -36), (23, -33)]
     blockers = [(25, 16), (-1, 29), (-25, 13), (-24, -16), (2, -28), (26, -12)]
     pts = hexagon + blockers + [(1, 2), (-3, 5)]
-    calls = {"n": 0}
-
-    def first_call_non_minimal(ground, k):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return list(hexagon)
-        return k_minimal_convex_subset(ground, k)
-
     monkeypatch.setattr(
-        holefinder.extractor, "k_minimal_convex_subset", first_call_non_minimal
+        holefinder.extractor, "k_minimal_convex_subset", lambda ground, k: hexagon
     )
-    result = extract(pts, ExtractionParams(ell=3, k=6))
-    assert "restart" in result.trace_kinds()
-    assert result.certificate is not None and result.certificate.verify(pts)
+    with pytest.raises(GeometryError, match=r"^outer layer has no empty arc"):
+        extract(pts, ExtractionParams(ell=3, k=6))
 
 
 def test_criterion_8_terminal_harvest_path(tmp_path):

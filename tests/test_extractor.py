@@ -1,12 +1,19 @@
+import random
 import time
 
 import pytest
 
 import holefinder.extractor
-from holefinder.convexity import LayerDecomposition, k_minimal_convex_subset
+from holefinder.convexity import (
+    LayerDecomposition,
+    convex_hull,
+    convex_layers,
+    in_closed_hull,
+)
 from holefinder.extractor import (
     Arc,
     ExtractionParams,
+    FollowerError,
     Inconclusive,
     arcs_of_layer,
     classify_alignment,
@@ -16,8 +23,11 @@ from holefinder.extractor import (
     threshold_k,
 )
 from holefinder.generators import grid, random_general_position
-from holefinder.geometry import GeometryError
+from holefinder.geometry import GeometryError, cross
 from holefinder.holes import CollinearCertificate, HoleCertificate, is_hole
+from holefinder.oracle import oracle_k_minimality
+
+from follower_reference import reference_crossed_arc
 
 # Convex 7-gon reused as the outer layer of several engineered inputs.
 HEPTAGON = [(0, 0), (40, -12), (80, 0), (92, 34), (62, 58), (18, 58), (-10, 34)]
@@ -105,31 +115,23 @@ def test_extract_claim_b_empty_harvest():
     assert result.outcome.verify(pts)
 
 
-def test_extract_restart_when_outer_layer_has_no_empty_arc(monkeypatch):
-    # A non-minimal outer hexagon whose arc triangles are all blocked forces
-    # the restart branch; the rerun grounds the search inside the second
-    # layer's hull and eventually falls through to the complete search.
+def test_extract_rejects_outer_layer_without_empty_arc(monkeypatch):
+    # Every arc triangle of this outer hexagon holds a blocker, and the
+    # blockers are 6 points of layer 2 in convex position strictly inside
+    # it, so the hexagon is not 6-minimal.  A 6-minimal outer layer always
+    # has an empty arc, and extract refuses one that does not.
     hexagon = [(41, 3), (19, 36), (-22, 34), (-40, -2), (-18, -36), (23, -33)]
     blockers = [(25, 16), (-1, 29), (-25, 13), (-24, -16), (2, -28), (26, -12)]
     pts = hexagon + blockers + [(1, 2), (-3, 5)]
-    calls = {"n": 0}
-
-    def first_call_non_minimal(ground, k):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return list(hexagon)
-        return k_minimal_convex_subset(ground, k)
+    result = extract(pts, ExtractionParams(ell=3, k=6))
+    assert result.outcome.verify(pts)
+    assert not oracle_k_minimality(pts, hexagon, 6)
 
     monkeypatch.setattr(
-        holefinder.extractor, "k_minimal_convex_subset", first_call_non_minimal
+        holefinder.extractor, "k_minimal_convex_subset", lambda ground, k: hexagon
     )
-    result = extract(pts, ExtractionParams(ell=3, k=6))
-    kinds = result.trace_kinds()
-    assert "restart" in kinds
-    assert kinds.count("layers") == 2
-    assert calls["n"] == 2
-    assert isinstance(result.outcome, HoleCertificate)
-    assert result.outcome.verify(pts)
+    with pytest.raises(GeometryError, match=r"^outer layer has no empty arc"):
+        extract(pts, ExtractionParams(ell=3, k=6))
 
 
 def test_extract_layers_stop_past_n_plus_one():
@@ -195,6 +197,85 @@ def test_follower_with_claim_checks():
 def test_follower_requires_empty_arc():
     with pytest.raises(GeometryError):
         follower(Arc((-20, 20), (20, 20), 1), DECOMP)
+
+
+def test_layer_indices_are_checked():
+    # Layers are numbered from 1, and the innermost one has no next layer.
+    inner_only = LayerDecomposition((OUTER, INNER), (0, 0), 2, 4)
+    for index in (0, 3):
+        with pytest.raises(GeometryError, match=r"^no layer"):
+            arcs_of_layer(inner_only, index)
+    assert len(arcs_of_layer(inner_only, 2)) == 3
+    for index in (0, 3):
+        arc = Arc((20, -20), (-20, -20), index)
+        for check in (is_empty_arc, follower):
+            with pytest.raises(GeometryError, match=r"^no layer after"):
+                check(arc, DECOMP)
+
+
+def test_follower_input_errors_are_not_follower_errors():
+    bottom = Arc((20, -20), (-20, -20), 1)
+    on_arc_line = LayerDecomposition((OUTER, INNER, ((0, -20),)), (0, -20), 3, 4)
+    one_point = LayerDecomposition((OUTER, ((0, 5),), ((0, 0),)), (0, 0), 3, 4)
+    for decomposition in (on_arc_line, one_point):
+        with pytest.raises(GeometryError) as info:
+            follower(bottom, decomposition)
+        assert not isinstance(info.value, FollowerError)
+
+
+def test_follower_error_when_midpoint_is_in_next_hull():
+    # Layer 2 holds the midpoint (0, -20) of the empty bottom arc.
+    layer2 = ((-10, -20), (0, 10), (10, -20))
+    decomposition = LayerDecomposition((OUTER, layer2, ((0, 0),)), (0, 0), 3, 4)
+    bottom = Arc((20, -20), (-20, -20), 1)
+    assert is_empty_arc(bottom, decomposition)
+    with pytest.raises(FollowerError):
+        follower(bottom, decomposition)
+
+
+def _layered_sets():
+    """Peeled layers of random sets, from the hull corners (which leave the
+    other boundary points to layer 2) and from a k-minimal outer layer."""
+    for seed in range(60):
+        n = 14 + seed % 10
+        if seed % 2:
+            pts = random_general_position(n, seed)
+        else:
+            pts = random.Random(seed).sample(grid(9), n)
+        yield LayerDecomposition.build(pts, convex_hull(pts).corners, 3 + seed % 3, 5)
+        if seed < 10:
+            yield convex_layers(pts, 3, 5)
+
+
+def test_follower_matches_seven_target_reference():
+    compared = errors = 0
+    for decomposition in _layered_sets():
+        z = decomposition.apex
+        if z is None:
+            continue
+        for index in range(1, len(decomposition.layers)):
+            nxt = decomposition.layers[index]
+            if len(decomposition.layers[index - 1]) < 3 or len(nxt) < 2:
+                continue
+            boundary = convex_hull(list(nxt)).boundary
+            for arc in arcs_of_layer(decomposition, index):
+                x, y = arc.start, arc.end
+                if cross(x, y, z) == 0 or not is_empty_arc(arc, decomposition):
+                    continue
+                expected = reference_crossed_arc(x, y, z, boundary)
+                compared += 1
+                if expected is None:
+                    errors += 1
+                    with pytest.raises(FollowerError):
+                        follower(arc, decomposition)
+                    if index + 1 < len(decomposition.layers):
+                        # The apex is inside the next layer's hull, so the
+                        # midpoint lies in that closed hull.
+                        doubled = convex_hull([(2 * a, 2 * b) for a, b in nxt])
+                        assert in_closed_hull((x[0] + y[0], x[1] + y[1]), doubled)
+                else:
+                    assert follower(arc, decomposition) == Arc(*expected, index + 1)
+    assert compared >= 200 and errors >= 1
 
 
 def test_classify_alignment_all_tags():

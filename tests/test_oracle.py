@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holefinder.convexity import k_minimal_convex_subset, max_convex_position_subset
+from holefinder.convexity import (
+    convex_hull,
+    in_closed_hull,
+    k_minimal_convex_subset,
+    max_convex_position_subset,
+    max_convex_size,
+)
 from holefinder.geometry import GeometryError
 from holefinder.holes import find_k_hole
 from holefinder.oracle import (
@@ -70,6 +78,32 @@ def test_oracle_k_minimality():
     # The full square is not 3-minimal: triangles through the center fit
     # strictly inside it.
     assert not oracle_k_minimality(SQUARE_CENTER, SQUARE, 3)
+
+
+@st.composite
+def lattice_set_and_k(draw):
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            min_size=3,
+            max_size=14,
+            unique=True,
+        )
+    )
+    return pts, draw(st.integers(3, max_convex_size(pts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_set_and_k())
+def test_k_minimal_passes_oracle_on_lattice_sets(case):
+    pts, k = case
+    out = k_minimal_convex_subset(pts, k)
+    assert oracle_k_minimality(pts, out, k)
+    # So no other point lies on its hull boundary: one there could replace a
+    # corner on the same line, giving k points with a strictly smaller hull.
+    hull = convex_hull(out)
+    inside = [p for p in pts if p not in out and in_closed_hull(p, hull)]
+    assert not [p for p in inside if p in convex_hull(out + [p]).boundary]
 
 
 def test_oracle_k_minimality_validates_candidate():

@@ -1,9 +1,13 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import holefinder
+import holefinder.extractor
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_has_no_assert_statements():
@@ -64,3 +68,23 @@ def test_one_chain_engine(callee, callers):
             ):
                 found.add(f"{path.stem}.{scope.get(node, '<module>')}")
     assert found == callers
+
+
+def test_readme_lists_extract_trace_kinds():
+    # A step's kind is a literal, given to TraceStep or to _verified_hole.
+    tree = ast.parse(Path(holefinder.extractor.__file__).read_text())
+    kinds, passed_on = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)
+            pos = {"TraceStep": 0, "_verified_hole": 2}.get(name)
+            if pos is not None:
+                arg = node.args[pos]
+                if isinstance(arg, ast.Constant):
+                    kinds.add(arg.value)
+                else:
+                    passed_on.append(arg.id)
+    assert set(passed_on) == {"kind"}  # _verified_hole's own steps
+    section = README.read_text().split("### Trace kinds", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `([a-z0-9-]+)`", section, re.MULTILINE)
+    assert sorted(listed) == sorted(kinds)

@@ -177,21 +177,25 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
 
     With ``empty`` (for holes) the subset is the corners alone, a chain
     stops at ``target`` corners and enters ``p`` only when no other point of
-    ``pts`` lies in the closed fan triangle (base, chain[-1], p), or, for
-    the first edge, inside the segment (base, p).  The closed fan triangles
-    of a polygon from its base cover the closed polygon, so the polygons
-    met are exactly the holes whose least vertex is the base: each hole's
-    fan from its least vertex has empty triangles, and no search is lost.
-    The first-edge test only prunes early, since the first fan triangle
-    holds the first edge, and it is read off the fan: every candidate lies
+    ``pts`` lies inside the segment (base, p), for the first edge, or in the
+    closed fan triangle (base, chain[-1], p), for a later one.  The closed
+    fan triangles of a polygon from its base cover the closed polygon, so
+    the polygons met are exactly the holes whose least vertex is the base:
+    each hole's fan from its least vertex has empty triangles, and no
+    search is lost.  Both tests read only the fan.  Every candidate lies
     lexicographically above the base, so a point collinear with base and p
-    lies on p's ray, and the fan orders each ray by distance.  The points
+    lies on p's ray, and the fan orders each ray by distance: the points
     inside segment (base, p) are the same-ray candidates just before p.  A
-    fan triangle depends on nothing but the base and its two other corners,
-    so each base keeps its verdicts in a dict keyed by the candidate
-    indices of chain[-1] and p: the same decisions come out in the same
-    order, each computed once per base.  Only a chain of ``target`` corners
-    is tested for closing.
+    fan-triangle test reads only the candidates in its angular wedge, those
+    after chain[-1] and before p in the fan.  The base is the
+    lexicographically least point of the closed triangle, so every other
+    point of it is a candidate of this base, at an angle from chain[-1]'s
+    to p's and, on p's ray, no farther than p: it comes between chain[-1]
+    and p in the fan, or on chain[-1]'s ray before chain[-1].  The latter
+    lie on segment (base, chain[-1]), which the previous fan triangle or
+    the first-edge test already cleared; that holds as well for the
+    degenerate triangle with p on chain[-1]'s ray.  Only a chain of
+    ``target`` corners is tested for closing.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
@@ -213,8 +217,6 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
         # nxt[d]: the next candidate to try after chain[d], in preorder.
         # While chain[d + 1] is on the chain, nxt[d] - 1 is its index.
         nxt = [0]
-        # Fan-triangle verdicts, keyed by nxt[-2] * m + i (empty mode).
-        fan: dict[int, bool] = {}
         while nxt:
             i = nxt[-1]
             if i == m or (empty and len(chain) == target):
@@ -226,13 +228,12 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
             if len(chain) >= 2:
                 if cross(chain[-2], chain[-1], p) <= 0:
                     continue
-                if empty:
-                    key = nxt[-2] * m + i
-                    clear = fan.get(key)
-                    if clear is None:
-                        clear = fan[key] = _triangle_clear(pts, base, chain[-1], p)
-                    if not clear:
-                        continue
+                # The wedge: the candidates after chain[-1] and before p.
+                if empty and any(
+                    in_closed_triangle(q, base, chain[-1], p)
+                    for q in cand[nxt[-2] : i]
+                ):
+                    continue
             elif empty and i and cross(base, cand[i - 1], p) == 0:
                 continue
             chain.append(p)
@@ -303,12 +304,6 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
                     best = max(best, most + first[i] - 2)
             size.append(row)
     return best
-
-
-def _triangle_clear(pts: list[Point], a: Point, b: Point, c: Point) -> bool:
-    """True iff no point of ``pts`` but a, b and c lies in the closed
-    triangle abc."""
-    return all(p in (a, b, c) or not in_closed_triangle(p, a, b, c) for p in pts)
 
 
 # ---------------------------------------------------------------------------

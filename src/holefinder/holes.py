@@ -101,7 +101,8 @@ def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     Complete: the convex-position walk ``convexity._convex_walk`` runs with
     ``empty``, on strict corners with every fan triangle from the base
     required to be empty of other points, which prunes hard while missing
-    nothing.
+    nothing.  Each fan triangle is tested against the points of its angular
+    wedge in the base's fan alone, not against the whole set.
     """
     pts = canonical(validate_points(points))
     if k < 3:

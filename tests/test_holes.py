@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holefinder.convexity
-from holefinder.convexity import _triangle_clear
 from holefinder.generators import grid, horton, random_general_position
 from holefinder.geometry import (
     GeometryError,
@@ -89,7 +88,26 @@ def test_find_k_hole_empty_triangle_blocked_by_edge_point():
 @example([(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 3), (1, 2)])  # horizontal
 @example([(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (3, 2), (2, 1)])  # vertical
 @example([(0, 0), (1, 1), (2, 2), (3, 3), (3, 4), (2, 5), (1, 3)])  # diagonal
+# The wedge's boundaries, around the convex pentagon (0, 0), (6, 1), (8, 6),
+# (4, 10), (1, 7): a candidate inside segment base-chain[-1] is outside the
+# wedge of (base, (8, 6), p) and blocks the fan triangle before it; a point
+# on chain[-1]'s ray beyond it makes the fan triangle degenerate; a point
+# inside edge chain[-1]-p lies in the wedge on the triangle's boundary.
+@example([(0, 0), (6, 1), (8, 6), (4, 10), (1, 7), (4, 3)])
+@example([(0, 0), (4, 0), (3, 3), (6, 6), (0, 4), (2, 7)])
+@example([(0, 0), (6, 1), (8, 6), (4, 10), (1, 7), (6, 8)])
 def test_find_k_hole_matches_reference(pts):
+    _assert_matches_reference(pts)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pts", [grid(7), horton(64)], ids=["grid7", "horton64"])
+def test_find_k_hole_matches_reference_beyond_oracle_budget(pts):
+    # Past the oracle's 30 points; the reference takes seconds on each set.
+    _assert_matches_reference(pts)
+
+
+def _assert_matches_reference(pts):
     for k in range(3, 8):
         assert find_k_hole(pts, k) == reference_k_hole(pts, k)
 
@@ -105,16 +123,18 @@ def test_find_k_hole_matches_reference(pts):
     ids=["horizontal", "vertical", "diagonal"],
 )
 def test_find_k_hole_never_grows_a_blocked_first_edge(monkeypatch, pts, blocked):
-    # The first fan triangle holds the first edge, so the first-edge test
-    # changes no answer; it stops a chain before any fan triangle on a
-    # blocked first edge is tested.
+    # The points inside a first edge lie outside every wedge, so the
+    # first-edge test must stop a chain on a blocked first edge before any
+    # fan triangle from it is tested.
+    # Each fan-triangle test is in_closed_triangle(q, base, chain[-1], p).
     tested = []
+    in_closed_triangle = holefinder.convexity.in_closed_triangle
 
-    def recording(pts, a, b, c):
+    def recording(q, a, b, c):
         tested.append((a, b))
-        return _triangle_clear(pts, a, b, c)
+        return in_closed_triangle(q, a, b, c)
 
-    monkeypatch.setattr(holefinder.convexity, "_triangle_clear", recording)
+    monkeypatch.setattr(holefinder.convexity, "in_closed_triangle", recording)
     assert find_k_hole(pts, 6) is None
     assert tested and ((0, 0), blocked) not in tested
 

@@ -48,8 +48,11 @@ def test_library_has_no_assert_statements():
                 "extractor.classify_alignment",
             },
         ),
+        # The hole walk tests each fan triangle against its wedge alone; no
+        # whole-set triangle scan is left.
+        ("in_closed_triangle", {"convexity._convex_walk", "extractor._walk"}),
     ],
-    ids=["angle_order", "_convex_walk", "on_closed_segment"],
+    ids=["angle_order", "_convex_walk", "on_closed_segment", "in_closed_triangle"],
 )
 def test_one_chain_engine(callee, callers):
     found = set()

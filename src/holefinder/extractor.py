@@ -4,9 +4,11 @@ The engine walks a layer decomposition of the point set: a minimal convex
 outer layer, hull peels inside it, and an apex point in the residue.  Empty
 arcs of a layer are chased to follower arcs on the next layer; whenever one
 of the structural claims about followers fails to hold, a 5-hole is harvested
-on the spot.  Small inputs that exhaust the walk fall back to complete hole
-search, so every produced certificate is verified and the absence answer is
-exact at desk scale.
+on the spot.  Inputs with fewer than 5 points in convex position
+(``machinery-skipped``), with a layer too thin to walk (``layers-too-thin``)
+or whose harvest fails verification fall back to complete hole search, so
+every produced certificate is verified and the absence answer is exact at
+desk scale.  A broken lemma of the walk raises ``GeometryError``.
 """
 
 from __future__ import annotations
@@ -94,14 +96,6 @@ class ExtractionResult:
         return [step.kind for step in self.trace]
 
 
-class FollowerError(GeometryError):
-    """No next-layer arc separates the apex from the midpoint of an empty arc.
-
-    With the apex inside the next layer's hull, as in every decomposition
-    that ``extract`` walks, this means the midpoint lies in that closed hull.
-    """
-
-
 def arcs_of_layer(decomposition: LayerDecomposition, index: int) -> list[Arc]:
     """The clockwise arcs of layer ``index`` (1-based)."""
     if not 1 <= index <= len(decomposition.layers):
@@ -147,23 +141,22 @@ def follower(arc: Arc, decomposition: LayerDecomposition) -> Arc:
     nxt = decomposition.layers[arc.layer_index]
     if len(nxt) < 2:
         raise GeometryError("next layer too small for arcs")
-    crossed = _crossed_arc(x, y, z, convex_hull(list(nxt)).boundary)
-    if crossed is None:
-        raise FollowerError("the arc's midpoint lies in the next layer's hull")
-    return Arc(crossed[0], crossed[1], arc.layer_index + 1)
+    p, q = _crossed_arc(x, y, z, convex_hull(list(nxt)).boundary)
+    return Arc(p, q, arc.layer_index + 1)
 
 
 def _crossed_arc(
     x: Point, y: Point, z: Point, boundary: Sequence[Point]
-) -> Optional[tuple[Point, Point]]:
+) -> tuple[Point, Point]:
     """The boundary arc that the segment from z to the midpoint t of xy
-    crosses, or None.
+    crosses.
 
     Points are doubled, so that t is an integer point and every test is an
     exact orientation sign.  The segment must cross the line of an arc
     strictly between z and t, at a point of the closed arc.  That point lies
     in the open triangle xyz, which for an empty arc holds no point of the
-    next layer, so it is never a vertex of the boundary.
+    next layer, so it is never a vertex of the boundary.  With z inside the
+    boundary, no arc is crossed only when t lies in its closed hull.
     """
     t = (x[0] + y[0], x[1] + y[1])
     zs = (2 * z[0], 2 * z[1])
@@ -178,7 +171,7 @@ def _crossed_arc(
         if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
             continue
         return a, b
-    return None
+    raise GeometryError("the arc's midpoint lies in the next layer's hull")
 
 
 def classify_alignment(xy: Arc, pq: Arc, z: Point) -> str:
@@ -281,8 +274,12 @@ def _run_machinery(
         trace.append(TraceStep("layers-too-thin", {"sizes": sizes}))
         return None
 
-    # Each peel takes every boundary point of what is left, so the apex lies
-    # strictly inside layer 2's hull and no outer arc is collinear with it.
+    # (a) No other point lies on the k-minimal outer hull's boundary: adding
+    # it and dropping a corner would give >= k points in convex position
+    # with a strictly smaller hull.  Each peel takes every boundary point of
+    # what is left.  So each layer lies strictly inside the previous layer's
+    # hull, and the apex, in the nonempty residue, strictly inside each; no
+    # arc is collinear with it.
     # The outer arcs' open triangles are disjoint; if each held a point of
     # layer 2, those points would be >= k points in convex position whose
     # hull misses every outer corner, strictly inside the outer hull, against
@@ -358,19 +355,25 @@ def _walk(
     trace.append(TraceStep("empty-arc", {"arc": (arc.start, arc.end)}))
 
     for i in range(1, ell - 1):
-        try:
-            pq = follower(arc, decomposition)
-        except FollowerError as exc:
-            trace.append(TraceStep("follower-degenerate", {"error": str(exc)}))
-            return None
+        # (b) By (a) the arc's midpoint, on layer i's boundary, lies outside
+        # layer i + 1's closed hull and the apex inside it, so the segment
+        # between them crosses that hull's boundary: the follower exists.
+        pq = follower(arc, decomposition)
         p, q = pq.start, pq.end
         x, y = arc.start, arc.end
         trace.append(
             TraceStep("follower", {"arc": (x, y), "follower": (p, q), "layer": i + 1})
         )
+        # (c) Line pq crosses the open triangle x, y, z, which holds neither p
+        # nor q, so segment pq would reach side xy, on layer i's boundary,
+        # unless x and y lie strictly beyond line pq; by (a) it cannot.  With
+        # p and q strictly inside layer i's hull and both arcs clockwise,
+        # x, y, q, p is a convex quadrilateral.  It meets layer i + 1's hull
+        # only in arc pq and layer i's boundary only in arc xy, and every
+        # other point lies outside layer i's hull or inside layer i + 1's:
+        # it is a 4-hole.
         if not is_hole(pts, [x, y, p, q]):
-            trace.append(TraceStep("claim-b-4hole-failure", {"points": [x, y, p, q]}))
-            return None
+            raise GeometryError(f"arc {x, y} and follower {p, q} are not a 4-hole")
         trace.append(TraceStep("claim-b-4hole", {"points": [x, y, p, q]}))
 
         if not is_empty_arc(pq, decomposition):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -9,11 +10,11 @@ from holefinder.convexity import (
     convex_hull,
     convex_layers,
     in_closed_hull,
+    max_convex_size,
 )
 from holefinder.extractor import (
     Arc,
     ExtractionParams,
-    FollowerError,
     Inconclusive,
     arcs_of_layer,
     classify_alignment,
@@ -22,8 +23,12 @@ from holefinder.extractor import (
     is_empty_arc,
     threshold_k,
 )
-from holefinder.generators import grid, random_general_position
-from holefinder.geometry import GeometryError, cross
+from holefinder.generators import (
+    grid,
+    random_bounded_collinear,
+    random_general_position,
+)
+from holefinder.geometry import GeometryError, cross, max_collinear, on_closed_segment
 from holefinder.holes import CollinearCertificate, HoleCertificate, is_hole
 from holefinder.oracle import oracle_k_minimality
 
@@ -213,6 +218,9 @@ def test_layer_indices_are_checked():
                 check(arc, DECOMP)
 
 
+MIDPOINT_IN_NEXT_HULL = r"^the arc's midpoint lies in the next layer's hull"
+
+
 def test_follower_input_errors_are_not_follower_errors():
     bottom = Arc((20, -20), (-20, -20), 1)
     on_arc_line = LayerDecomposition((OUTER, INNER, ((0, -20),)), (0, -20), 3, 4)
@@ -220,17 +228,41 @@ def test_follower_input_errors_are_not_follower_errors():
     for decomposition in (on_arc_line, one_point):
         with pytest.raises(GeometryError) as info:
             follower(bottom, decomposition)
-        assert not isinstance(info.value, FollowerError)
+        assert not re.match(MIDPOINT_IN_NEXT_HULL, str(info.value))
+
+
+# Layer 2 holds the midpoint (0, -20) of the empty bottom arc.
+MIDPOINT_DECOMP = LayerDecomposition(
+    (OUTER, ((-10, -20), (0, 10), (10, -20)), ((0, 0),)), (0, 0), 3, 4
+)
 
 
 def test_follower_error_when_midpoint_is_in_next_hull():
-    # Layer 2 holds the midpoint (0, -20) of the empty bottom arc.
-    layer2 = ((-10, -20), (0, 10), (10, -20))
-    decomposition = LayerDecomposition((OUTER, layer2, ((0, 0),)), (0, 0), 3, 4)
     bottom = Arc((20, -20), (-20, -20), 1)
-    assert is_empty_arc(bottom, decomposition)
-    with pytest.raises(FollowerError):
-        follower(bottom, decomposition)
+    assert is_empty_arc(bottom, MIDPOINT_DECOMP)
+    with pytest.raises(GeometryError, match=MIDPOINT_IN_NEXT_HULL):
+        follower(bottom, MIDPOINT_DECOMP)
+
+
+@pytest.mark.parametrize(
+    "decomposition, extra, message",
+    [
+        (MIDPOINT_DECOMP, [], MIDPOINT_IN_NEXT_HULL),
+        # A point inside the quadrilateral of the bottom arc and its follower.
+        (DECOMP, [(0, -10)], r"are not a 4-hole$"),
+    ],
+    ids=["midpoint-in-next-hull", "point-in-4-gon"],
+)
+def test_walk_raises_on_a_broken_lemma(decomposition, extra, message):
+    # Neither decomposition can come from extract; the walk raises instead
+    # of handing it to the fallback, and records no failure step.
+    pts = [p for layer in decomposition.layers for p in layer] + extra
+    trace = []
+    with pytest.raises(GeometryError, match=message):
+        holefinder.extractor._walk(
+            pts, decomposition, 3, Arc((20, -20), (-20, -20), 1), trace
+        )
+    assert {step.kind for step in trace} <= {"empty-arc", "follower"}
 
 
 def _layered_sets():
@@ -266,7 +298,7 @@ def test_follower_matches_seven_target_reference():
                 compared += 1
                 if expected is None:
                     errors += 1
-                    with pytest.raises(FollowerError):
+                    with pytest.raises(GeometryError, match=MIDPOINT_IN_NEXT_HULL):
                         follower(arc, decomposition)
                     if index + 1 < len(decomposition.layers):
                         # The apex is inside the next layer's hull, so the
@@ -276,6 +308,56 @@ def test_follower_matches_seven_target_reference():
                 else:
                     assert follower(arc, decomposition) == Arc(*expected, index + 1)
     assert compared >= 200 and errors >= 1
+
+
+def _lattice_set(n, ell, seed):
+    """n points of a seeded shuffle of the 10 x 10 grid, each kept if it
+    leaves fewer than ell collinear; None if the grid runs out."""
+    pts = []
+    for p in random.Random(seed).sample(grid(10), 100):
+        if max_collinear(pts + [p])[0] < ell:
+            pts.append(p)
+            if len(pts) == n:
+                return pts
+    return None
+
+
+def test_walk_lemmas_hold_on_extract_decompositions():
+    # The decompositions extract walks at n < threshold_k(3) = 31: a
+    # max-size k-minimal outer layer.  Wide random sets reach the walk;
+    # lattice sets put many points on layer edges.
+    cases = [
+        (3 + s % 3, random_bounded_collinear(20 + s % 9, 3 + s % 3, s))
+        for s in range(30)
+    ]
+    cases += [(4 + s % 2, _lattice_set(20 + s % 9, 4 + s % 2, s)) for s in range(8)]
+    walked = arcs = edge_points = 0
+    for ell, pts in cases:
+        if pts is None:
+            continue
+        decomposition = convex_layers(pts, ell, max_convex_size(pts))
+        layers = decomposition.layers
+        # (a): no point lies on a layer's hull boundary unless it is of the layer.
+        for index, layer in enumerate(layers[:-1], 1):
+            corners = convex_hull(list(layer)).corners if layer else ()
+            if len(corners) < 3:
+                continue
+            edge_points += len(layer) - len(corners)
+            others = [p for p in pts if p not in layer]
+            for arc in arcs_of_layer(decomposition, index):
+                assert not any(on_closed_segment(p, arc.start, arc.end) for p in others)
+        if decomposition.apex is None:
+            continue  # layers-too-thin: the walk never starts
+        walked += 1
+        # (b) and (c): every empty arc of a peel layer has a follower, and
+        # the two arcs make a 4-hole.
+        for index in range(1, ell - 1):
+            for arc in arcs_of_layer(decomposition, index):
+                if is_empty_arc(arc, decomposition):
+                    pq = follower(arc, decomposition)
+                    assert is_hole(pts, [arc.start, arc.end, pq.start, pq.end])
+                    arcs += 1
+    assert walked >= 5 and arcs >= 40 and edge_points >= 20
 
 
 def test_classify_alignment_all_tags():

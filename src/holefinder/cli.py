@@ -31,12 +31,7 @@ from .extractor import (
     threshold_k,
 )
 from .geometry import GeometryError, Point, max_collinear
-from .holes import (
-    CollinearCertificate,
-    HoleCertificate,
-    find_k_hole,
-    is_hole,
-)
+from .holes import CollinearCertificate, find_k_hole, is_hole
 from . import generators as gen
 from .oracle import DEFAULT_BUDGET
 

@@ -8,7 +8,7 @@ on the spot.  Inputs with fewer than 5 points in convex position
 (``machinery-skipped``), with a layer too thin to walk (``layers-too-thin``)
 or whose harvest fails verification fall back to complete hole search, so
 every produced certificate is verified and the absence answer is exact at
-desk scale.  A broken lemma of the walk raises ``GeometryError``.
+every size.  A broken lemma of the walk raises ``GeometryError``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .geometry import (
     direction,
     is_general_position,
     max_collinear,
-    validate_points,
 )
 from .holes import EXCEPTIONAL_SIX, classify_no_four_hole
 

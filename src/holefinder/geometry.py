@@ -68,17 +68,6 @@ def angle_order(base: Point, cand: Iterable[Point]) -> list[Point]:
     return sorted(cand, key=functools.cmp_to_key(cmp))
 
 
-def orientation(a: Point, b: Point, c: Point) -> int:
-    """Sign of the turn a -> b -> c: +1 left, -1 right, 0 collinear.
-
-    The three points must be pairwise distinct.
-    """
-    if a == b or a == c or b == c:
-        raise GeometryError("orientation requires pairwise distinct points")
-    d = cross(a, b, c)
-    return (d > 0) - (d < 0)
-
-
 def on_closed_segment(p: Point, v: Point, w: Point) -> bool:
     """True iff p lies on the closed segment [v, w]: on line vw and between
     v and w in (x, y) order, which along a line is the order of position (x
@@ -190,42 +179,6 @@ def max_collinear(points: Sequence[Point]) -> tuple[int, list[Point]]:
             if len(group) > len(best):
                 best = group
     return len(best), best
-
-
-def perturb_general_position(points: Sequence[Point]) -> list[Point]:
-    """A general-position image of ``points`` preserving nonzero orientations.
-
-    The i-th output point is the image of the i-th input point.  Coordinates
-    are scaled by a factor M and the points are displaced along a moment curve
-    (offsets (i, i^2) in canonical rank order); M is squared until an
-    exhaustive check over all triples confirms that no triple is collinear and
-    every originally non-collinear triple kept its orientation sign.
-    """
-    pts = validate_points(points)
-    if not pts:
-        raise GeometryError("perturb_general_position needs at least one point")
-    n = len(pts)
-    rank = {p: i for i, p in enumerate(canonical(pts))}
-    signs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                signs[(i, j, k)] = orientation(pts[i], pts[j], pts[k])
-    m = max(4, 2 * n * n)
-    while True:
-        out = [
-            (p[0] * m + rank[p], p[1] * m + rank[p] * rank[p]) for p in pts
-        ]
-        ok = len(set(out)) == n
-        for (i, j, k), s in signs.items():
-            if not ok:
-                break
-            t = orientation(out[i], out[j], out[k])
-            if t == 0 or (s != 0 and t != s):
-                ok = False
-        if ok:
-            return out
-        m *= m
 
 
 def is_general_position(points: Sequence[Point]) -> bool:

@@ -23,7 +23,8 @@ from .geometry import (
 
 
 class InconclusiveError(RuntimeError):
-    """Raised when neither certificate can be produced within search bounds."""
+    """Raised by ``find_visible_5_clique`` when the set has fewer than ell
+    collinear points and no 5 pairwise visible points."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,12 +159,45 @@ def is_crossing_free(graph: VisibilityGraph) -> bool:
     return True
 
 
+def _first_clique(graph: VisibilityGraph, size: int) -> Optional[list[Point]]:
+    """The first ``size`` pairwise adjacent vertices in lexicographic order of
+    their canonical indices, else None.
+
+    Each adjacency row is a Python int whose bit j marks a later neighbour
+    j, so the candidates common to a partial clique are one ``&`` away, and
+    a branch stops once too few candidates are left to complete it.
+    """
+    verts = graph.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    later = [0] * len(verts)
+    for v, w in graph.edges:
+        i, j = sorted((index[v], index[w]))
+        later[i] |= 1 << j
+
+    def grow(chosen: list[int], cand: int) -> Optional[list[int]]:
+        if len(chosen) == size:
+            return chosen
+        while cand.bit_count() >= size - len(chosen):
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            found = grow(chosen + [i], cand & later[i])
+            if found is not None:
+                return found
+        return None
+
+    found = grow([], (1 << len(verts)) - 1)
+    return None if found is None else [verts[i] for i in found]
+
+
 def find_visible_5_clique(points: Sequence[Point], ell: int):
-    """ell collinear points if present, else the corners of a 5-hole, which
-    are pairwise visible.
+    """ell collinear points if present, else 5 pairwise visible points: the
+    corners of a 5-hole when there is one (the paper's witness), else the
+    first 5-clique of the visibility graph.
 
     Returns a CollinearCertificate or a list of 5 points; raises
-    InconclusiveError when neither certificate can be produced.
+    InconclusiveError only when there are fewer than ell collinear points
+    and the visibility graph has no 5-clique, so no answer exists.
     """
     pts = canonical(validate_points(points))
     if len(pts) < 5:
@@ -172,11 +206,14 @@ def find_visible_5_clique(points: Sequence[Point], ell: int):
     if count >= ell:
         return CollinearCertificate.build(witness[:ell])
     hole = find_k_hole(pts, 5)
-    if hole is None:
+    if hole is not None:
+        return list(hole.vertices)
+    clique = _first_clique(visibility_graph(pts), 5)
+    if clique is None:
         raise InconclusiveError(
-            f"no {ell} collinear points and no 5-hole found; cannot certify a clique"
+            f"no {ell} collinear points and no 5 pairwise visible points"
         )
-    return list(hole.vertices)
+    return clique
 
 
 # ---------------------------------------------------------------------------

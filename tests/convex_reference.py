@@ -7,13 +7,27 @@ empty-chain hole search that ``find_k_hole`` ran before it moved onto the
 shared walk, and of the hull that found each edge's points by rescanning
 the set after a strict monotone chain.  Any faster search must return
 exactly what these return.
+
+It also holds the constructive side of ``q_formula``, which ``holefinder
+bounds`` prints: ``strictly_convex_subset_in_convex_position`` picks k
+strictly convex points out of any q_formula(k, ell) points in convex
+position with fewer than ell collinear, by the case split on points per
+hull side.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from holefinder.convexity import HullBoundary, _hull_measure, convex_hull, in_closed_hull
+from holefinder.convexity import (
+    HullBoundary,
+    _hull_measure,
+    convex_hull,
+    in_closed_hull,
+    is_convex_position,
+    is_strictly_convex_position,
+    q_formula,
+)
 from holefinder.geometry import (
     GeometryError,
     Point,
@@ -241,3 +255,80 @@ def reference_sides(hull: HullBoundary) -> list[list[Point]]:
         side.sort(key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2)
         sides.append(side)
     return sides
+
+
+def strictly_convex_subset_in_convex_position(
+    points: Sequence[Point], k: int, ell: int
+) -> list[Point]:
+    """k points in strictly convex position from a convex-position set.
+
+    Requires: the input in convex position, fewer than ell collinear points,
+    and at least q_formula(k, ell) points.  The construction follows a case
+    split on the number of points per hull side and always succeeds under the
+    preconditions; the result is re-verified before being returned.
+    """
+    pts = canonical(validate_points(points))
+    if not is_convex_position(pts):
+        raise GeometryError("input must be in convex position")
+    if max_collinear(pts)[0] >= ell:
+        raise GeometryError(f"input has {ell} collinear points")
+    if len(pts) < q_formula(k, ell):
+        raise GeometryError(
+            f"need at least q({k},{ell}) = {q_formula(k, ell)} points, got {len(pts)}"
+        )
+    result = canonical(_select_strict(pts, k, ell))
+    if len(result) != k or not is_strictly_convex_position(result):
+        raise GeometryError(f"selected {result} is not {k} strictly convex points")
+    return result
+
+
+def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
+    if k <= 2:
+        return pts[:k]
+    hull = convex_hull(pts)
+    if k == 3:
+        return list(hull.corners[:3])
+    if ell == 3:
+        # No three collinear: the whole set is strictly convex.
+        return pts[:k]
+
+    boundary = hull.boundary
+    sides = reference_sides(hull)
+    m = len(sides)
+
+    for side in sides:
+        if len(side) >= 4:
+            rest = [p for p in pts if p not in side]
+            inner = _select_strict(rest, k - 2, ell)
+            return inner + side[1:3]
+
+    for side in sides:
+        if len(side) == 2:
+            v, w = side
+            n = len(boundary)
+            j = boundary.index(v)
+            if boundary[(j + 1) % n] != w:
+                raise GeometryError(f"side {side} is not a boundary edge")
+            t = boundary[(j - 2) % n]
+            u = boundary[(j - 1) % n]
+            x = boundary[(j + 2) % n]
+            y = boundary[(j + 3) % n]
+            window = [t, u, v, w, x, y]
+            if k == 4:
+                return [u, v, w, x]
+            rest = [p for p in pts if p not in window]
+            inner = _select_strict(rest, k - 4, ell)
+            return inner + [u, v, w, x]
+
+    # Every side holds exactly 3 points: take all side midpoints plus every
+    # second corner (omitting two consecutive corners when m is odd).
+    corners = hull.corners
+    mids = [side[1] for side in sides]
+    if m % 2 == 0:
+        chosen = [corners[i] for i in range(0, m, 2)]
+    else:
+        chosen = [corners[i] for i in range(0, m - 2, 2)]
+    picked = mids + chosen
+    if len(picked) < k:
+        raise GeometryError(f"only {len(picked)} strictly convex points, need {k}")
+    return picked[:k]

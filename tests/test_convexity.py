@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 import holefinder.convexity
 from holefinder.convexity import (
-    _sides,
     convex_hull,
     convex_layers,
     es_bound,
@@ -18,7 +17,6 @@ from holefinder.convexity import (
     max_convex_position_subset,
     max_convex_size,
     q_formula,
-    strictly_convex_subset_in_convex_position,
 )
 from holefinder.generators import grid, horton
 from holefinder.geometry import GeometryError
@@ -29,7 +27,7 @@ from convex_reference import (
     reference_convex_subset,
     reference_find,
     reference_k_minimal_convex_subset,
-    reference_sides,
+    strictly_convex_subset_in_convex_position,
 )
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -76,8 +74,6 @@ def test_convex_hull_matches_reference(pts):
     reference = reference_convex_hull(pts)
     assert hull.boundary == reference.boundary
     assert hull.corners == reference.corners
-    if len(hull.corners) >= 3:  # sides are defined for polygons
-        assert _sides(hull) == reference_sides(reference)
 
 
 def test_position_predicates():

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 from holefinder.geometry import (
     GeometryError,
     canonical,
-    cross,
     direction,
     in_closed_triangle,
     in_open_triangle,
     is_general_position,
     max_collinear,
     on_closed_segment,
-    orientation,
-    perturb_general_position,
     validate_points,
 )
 
@@ -50,25 +47,6 @@ def test_validate_points_rejects_bool_coordinates():
 
 def test_canonical_sorts_lexicographically():
     assert canonical([(2, 1), (0, 5), (0, 2)]) == [(0, 2), (0, 5), (2, 1)]
-
-
-def test_orientation_signs():
-    assert orientation((0, 0), (1, 0), (0, 1)) == 1
-    assert orientation((0, 0), (0, 1), (1, 0)) == -1
-    assert orientation((0, 0), (1, 1), (2, 2)) == 0
-
-
-def test_orientation_rejects_coincident_points():
-    with pytest.raises(GeometryError):
-        orientation((0, 0), (0, 0), (1, 1))
-
-
-@given(points, points, points)
-def test_orientation_antisymmetry_and_cyclic(a, b, c):
-    if a == b or b == c or a == c:
-        return
-    assert orientation(a, b, c) == -orientation(a, c, b)
-    assert orientation(a, b, c) == orientation(b, c, a)
 
 
 def test_on_closed_segment():
@@ -184,25 +162,3 @@ def test_is_general_position_repeated_point_matches_reference(pts, data):
     repeated = data.draw(st.permutations(pts + [data.draw(st.sampled_from(pts))]))
     for sample in (repeated, repeated[:2]):
         assert is_general_position(sample) == reference_is_general_position(sample)
-
-
-def test_perturbation_removes_collinearity_preserves_orientations():
-    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-    out = perturb_general_position(pts)
-    assert is_general_position(out)
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = cross(pts[i], pts[j], pts[k])
-                t = cross(out[i], out[j], out[k])
-                if s != 0:
-                    assert (s > 0) == (t > 0)
-
-
-@settings(max_examples=50)
-@given(st.lists(points, min_size=3, max_size=8, unique=True))
-def test_perturbation_property(pts):
-    out = perturb_general_position(pts)
-    assert is_general_position(out)
-    assert len(out) == len(pts)

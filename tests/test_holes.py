@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from holefinder.geometry import (
     GeometryError,
     _segment_interiors,
     canonical,
+    max_collinear,
     on_closed_segment,
 )
 from holefinder.holes import (
@@ -15,6 +18,7 @@ from holefinder.holes import (
     CollinearCertificate,
     HoleCertificate,
     InconclusiveError,
+    _first_clique,
     classify_no_four_hole,
     find_k_hole,
     find_visible_5_clique,
@@ -25,6 +29,7 @@ from holefinder.holes import (
 )
 
 from convex_reference import reference_k_hole
+from visibility_reference import reference_visible, reference_visible_5_cliques
 
 SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
 SQUARE_CENTER = SQUARE + [(2, 2)]
@@ -266,6 +271,44 @@ def test_find_visible_5_clique_hole_branch():
 def test_find_visible_5_clique_inconclusive():
     with pytest.raises(InconclusiveError, match="no 4 collinear points"):
         find_visible_5_clique([(x, y) for x in range(3) for y in range(3)], 4)
+
+
+def test_find_visible_5_clique_without_a_5_hole():
+    # A square around one point has no 5-hole, yet its 5 points are pairwise
+    # visible: the answer is the visibility graph's clique.
+    pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 4)]
+    assert find_k_hole(pts, 5) is None
+    assert visibility_graph(pts).is_complete()
+    assert find_visible_5_clique(pts, 3) == canonical(pts)
+
+
+def _clique_sets(box):
+    width, height = box
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    return st.lists(cell, min_size=5, max_size=12, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(2, 6), st.integers(3, 6)).flatmap(_clique_sets),
+    st.integers(3, 13),
+)
+@example([(0, 0), (10, 0), (10, 10), (0, 10), (3, 4)], 3)
+# Among 5 lattice points two agree mod 2, and their midpoint blocks them.
+@example(grid(4), 5)
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 2)], 5)
+def test_find_visible_5_clique_matches_brute_force(pts, ell):
+    first = next(reference_visible_5_cliques(pts), None)
+    assert _first_clique(visibility_graph(pts), 5) == first
+    if max_collinear(pts)[0] >= ell:
+        assert isinstance(find_visible_5_clique(pts, ell), CollinearCertificate)
+    elif first is None:
+        with pytest.raises(InconclusiveError, match=f"no {ell} collinear points"):
+            find_visible_5_clique(pts, ell)
+    else:
+        out = find_visible_5_clique(pts, ell)
+        assert len(set(out)) == 5 and set(out) <= set(pts)
+        assert all(reference_visible(pts, a, b) for a, b in combinations(out, 2))
 
 
 def test_same_order_type_mirror_and_relabel():

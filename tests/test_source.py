@@ -7,7 +7,8 @@ import pytest
 import holefinder
 import holefinder.extractor
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def test_library_has_no_assert_statements():
@@ -91,3 +92,46 @@ def test_readme_lists_extract_trace_kinds():
     section = README.read_text().split("### Trace kinds", 1)[1].split("\n#", 1)[0]
     listed = re.findall(r"^- `([a-z0-9-]+)`", section, re.MULTILINE)
     assert sorted(listed) == sorted(kinds)
+
+
+def test_all_matches_readme_python_api():
+    section = README.read_text().split("## Python API", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
+    assert holefinder.__all__ == listed
+    assert all(hasattr(holefinder, name) for name in holefinder.__all__)
+
+
+def test_package_imports_no_test_reference():
+    references = {path.stem for path in TESTS.glob("*_reference.py")}
+    assert references
+    imported = set()
+    for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+    assert imported & references == set()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "orientation",
+        "perturb_general_position",
+        "strictly_convex_subset_in_convex_position",
+        "_select_strict",
+        "_sides",
+    ],
+)
+def test_removed_names_stay_out_of_the_package(name):
+    # No caller in the package: the perturbation and orientation are gone,
+    # and the strict-subset construction is a test reference.
+    for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = {
+            getattr(node, "name", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert name not in defined, path.name

@@ -18,7 +18,7 @@ from holefinder.holes import (
     CollinearCertificate,
     HoleCertificate,
     InconclusiveError,
-    _first_clique,
+    _first_5_clique,
     classify_no_four_hole,
     find_k_hole,
     find_visible_5_clique,
@@ -266,6 +266,10 @@ def test_find_visible_5_clique_hole_branch():
     for i in range(5):
         for j in range(i + 1, 5):
             assert graph.adjacent(out[i], out[j])
+    # A 5-hole exists, so the answer is the paper's witness, not a clique
+    # that only the visibility graph vouches for.
+    assert is_hole(pts, out)
+    assert out == list(find_k_hole(pts, 5).vertices)
 
 
 def test_find_visible_5_clique_inconclusive():
@@ -299,7 +303,7 @@ def _clique_sets(box):
 @example([(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 2)], 5)
 def test_find_visible_5_clique_matches_brute_force(pts, ell):
     first = next(reference_visible_5_cliques(pts), None)
-    assert _first_clique(visibility_graph(pts), 5) == first
+    assert _first_5_clique(visibility_graph(pts)) == first
     if max_collinear(pts)[0] >= ell:
         assert isinstance(find_visible_5_clique(pts, ell), CollinearCertificate)
     elif first is None:
@@ -309,6 +313,12 @@ def test_find_visible_5_clique_matches_brute_force(pts, ell):
         out = find_visible_5_clique(pts, ell)
         assert len(set(out)) == 5 and set(out) <= set(pts)
         assert all(reference_visible(pts, a, b) for a, b in combinations(out, 2))
+        # The 5-hole comes first whenever there is one; the clique only else.
+        hole = reference_k_hole(pts, 5)
+        if hole is not None:
+            assert is_hole(pts, out) and out == list(hole.vertices)
+        else:
+            assert out == first
 
 
 def test_same_order_type_mirror_and_relabel():

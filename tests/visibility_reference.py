@@ -3,7 +3,7 @@
 Visibility straight from the definition (no point of the set on the closed
 segment but its ends, by the bounding-box segment test), and the 5-cliques
 of that graph found by trying every 5-subset of the canonical points in
-``itertools.combinations`` order.  ``holes._first_clique`` must return the
+``itertools.combinations`` order.  ``holes._first_5_clique`` must return the
 first of them, and ``find_visible_5_clique`` must never give up while one
 exists.
 """

@@ -334,6 +334,8 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
             cert = CollinearCertificate.build(cert_pts)
         except GeometryError as exc:
             return str(exc)
+        if doc["parameter"] < 2:
+            return "a collinear certificate's parameter is at least 2"
         return None if cert.verify(pts) else "collinearity check failed"
     if doc["kind"] == "hole":
         if len(cert_pts) != doc["parameter"]:

@@ -437,28 +437,30 @@ def _smaller_convex_subset(
 
 @dataclass(frozen=True)
 class LayerDecomposition:
-    """Convex layers grown inward from a k-minimal outer subset."""
+    """Convex layers grown inward from a k-minimal outer subset.
+
+    Each layer but the last is a clockwise hull boundary, as ``peel_layers``
+    gives it; the last is the residue, in canonical order, whose least point
+    is the apex.
+    """
 
     layers: tuple[tuple[Point, ...], ...]
     apex: Optional[Point]
-    ell: int
-    k: int
 
     def sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
     @classmethod
     def build(
-        cls, points: Sequence[Point], outer: Sequence[Point], ell: int, k: int
+        cls, points: Sequence[Point], outer: Sequence[Point], ell: int
     ) -> "LayerDecomposition":
         """``outer``, then ell - 2 peels of the points inside its hull (empty
-        once the points run out), then the residue layer, whose canonical
-        least point is the apex."""
+        once the points run out), then the residue layer."""
         layers, residue = peel_layers(points, outer, ell - 1)
         layers += [()] * (ell - 1 - len(layers))
         residue = canonical(residue)
         apex = residue[0] if residue else None
-        return cls(tuple(layers) + (tuple(residue),), apex, ell, k)
+        return cls(tuple(layers) + (tuple(residue),), apex)
 
 
 def peel_layers(
@@ -466,26 +468,18 @@ def peel_layers(
 ) -> tuple[list[tuple[Point, ...]], list[Point]]:
     """Convex layers from ``outer`` inward, and the points left inside them.
 
-    The first layer is ``outer``; each later one is the hull boundary
-    (collinear boundary points included) of the points of ``points`` inside
-    conv(outer) that no earlier layer took.  Peeling stops after ``depth``
-    layers or when no point is left; layers are in canonical order.
+    Each layer is a hull boundary, clockwise from its least point, with the
+    points inside its edges kept: first that of ``outer``, which is in
+    convex position, so all of it; then that of the points of ``points``
+    inside conv(outer) that no earlier layer took.  Peeling stops after
+    ``depth`` layers or when no point is left.
     """
-    layers = [tuple(canonical(outer))]
-    taken = set(outer)
     hull = convex_hull(outer)
+    layers = [hull.boundary]
+    taken = set(outer)
     remaining = [p for p in points if p not in taken and in_closed_hull(p, hull)]
     while remaining and len(layers) < depth:
-        boundary = set(convex_hull(remaining).boundary)
-        layers.append(tuple(canonical(p for p in remaining if p in boundary)))
-        remaining = [p for p in remaining if p not in boundary]
+        layers.append(convex_hull(remaining).boundary)
+        taken = set(layers[-1])
+        remaining = [p for p in remaining if p not in taken]
     return layers, remaining
-
-
-def convex_layers(points: Sequence[Point], ell: int, k: int) -> LayerDecomposition:
-    """Layer decomposition: a k-minimal outer layer, then hull-boundary peels,
-    then the residue layer (whose canonical least point is the apex)."""
-    pts = canonical(validate_points(points))
-    if ell < 2:
-        raise GeometryError("convex_layers needs ell >= 2")
-    return LayerDecomposition.build(pts, k_minimal_convex_subset(pts, k), ell, k)

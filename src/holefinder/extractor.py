@@ -48,15 +48,6 @@ def threshold_k(ell: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
-    """Oriented edge between clockwise-consecutive points of a layer."""
-
-    start: Point
-    end: Point
-    layer_index: int  # 1-based
-
-
 @dataclass(slots=True)
 class ExtractionParams:
     ell: int
@@ -96,60 +87,16 @@ class ExtractionResult:
         return [step.kind for step in self.trace]
 
 
-def arcs_of_layer(decomposition: LayerDecomposition, index: int) -> list[Arc]:
-    """The clockwise arcs of layer ``index`` (1-based)."""
-    if not 1 <= index <= len(decomposition.layers):
-        raise GeometryError(f"no layer {index} in 1..{len(decomposition.layers)}")
-    layer = decomposition.layers[index - 1]
-    if len(layer) < 3:
-        raise GeometryError(f"layer {index} has fewer than 3 points")
-    boundary = convex_hull(list(layer)).boundary
-    m = len(boundary)
-    return [Arc(boundary[j], boundary[(j + 1) % m], index) for j in range(m)]
+def is_empty_arc(x: Point, y: Point, z: Point, inner: Sequence[Point]) -> bool:
+    """True iff the open triangle xyz misses the next layer ``inner``."""
+    return not any(in_open_triangle(p, x, y, z) for p in inner)
 
 
-def _next_layer(arc: Arc, decomposition: LayerDecomposition) -> tuple[Point, ...]:
-    """The layer after the arc's; the innermost layer has none."""
-    if not 1 <= arc.layer_index < len(decomposition.layers):
-        raise GeometryError(f"no layer after layer {arc.layer_index}")
-    return decomposition.layers[arc.layer_index]
-
-
-def is_empty_arc(arc: Arc, decomposition: LayerDecomposition) -> bool:
-    """True iff the open triangle from the arc to the apex misses the next
-    layer entirely (degenerate triangles count as empty)."""
-    nxt = _next_layer(arc, decomposition)
-    z = decomposition.apex
-    if z is None:
-        raise GeometryError("decomposition has no apex")
-    if cross(arc.start, arc.end, z) == 0:
-        return True
-    return not any(in_open_triangle(p, arc.start, arc.end, z) for p in nxt)
-
-
-def follower(arc: Arc, decomposition: LayerDecomposition) -> Arc:
-    """The next-layer arc crossed by the segment from the apex to the
-    midpoint of an empty arc."""
-    if not is_empty_arc(arc, decomposition):
-        raise GeometryError("follower is only defined for empty arcs")
-    z = decomposition.apex
-    x, y = arc.start, arc.end
-    # extract's apex lies strictly inside every layer's hull and its layers
-    # have 3 or more points, so these two only reject hand-built input.
-    if cross(x, y, z) == 0:
-        raise GeometryError("arc is collinear with the apex")
-    nxt = decomposition.layers[arc.layer_index]
-    if len(nxt) < 2:
-        raise GeometryError("next layer too small for arcs")
-    p, q = _crossed_arc(x, y, z, convex_hull(list(nxt)).boundary)
-    return Arc(p, q, arc.layer_index + 1)
-
-
-def _crossed_arc(
+def follower(
     x: Point, y: Point, z: Point, boundary: Sequence[Point]
 ) -> tuple[Point, Point]:
-    """The boundary arc that the segment from z to the midpoint t of xy
-    crosses.
+    """The arc of the next layer's clockwise ``boundary`` that the segment
+    from the apex z to the midpoint t of the empty arc xy crosses.
 
     Points are doubled, so that t is an integer point and every test is an
     exact orientation sign.  The segment must cross the line of an arc
@@ -174,11 +121,11 @@ def _crossed_arc(
     raise GeometryError("the arc's midpoint lies in the next layer's hull")
 
 
-def classify_alignment(xy: Arc, pq: Arc, z: Point) -> str:
-    """double / left / right alignment of a follower, or "violation" when the
-    follower endpoints avoid both apex segments."""
-    p_on = on_closed_segment(pq.start, xy.start, z)
-    q_on = on_closed_segment(pq.end, xy.end, z)
+def classify_alignment(x: Point, y: Point, p: Point, q: Point, z: Point) -> str:
+    """double / left / right alignment of the follower pq of arc xy, or
+    "violation" when p and q avoid both apex segments xz and yz."""
+    p_on = on_closed_segment(p, x, z)
+    q_on = on_closed_segment(q, y, z)
     if p_on and q_on:
         return "double"
     if p_on:
@@ -262,7 +209,7 @@ def _run_machinery(
     ell = min(ell, len(pts) + 1)
 
     outer = k_minimal_convex_subset(pts, k)
-    decomposition = LayerDecomposition.build(pts, outer, ell, k)
+    decomposition = LayerDecomposition.build(pts, outer, ell)
     trace.append(TraceStep("layers", {"sizes": decomposition.sizes(), "k": k}))
 
     harvested = _window_harvest(pts, decomposition, ell, trace)
@@ -284,8 +231,13 @@ def _run_machinery(
     # layer 2, those points would be >= k points in convex position whose
     # hull misses every outer corner, strictly inside the outer hull, against
     # k-minimality.  So some outer arc is empty.
+    boundary, inner = decomposition.layers[:2]
     first = next(
-        (a for a in arcs_of_layer(decomposition, 1) if is_empty_arc(a, decomposition)),
+        (
+            (x, y)
+            for x, y in zip(boundary, boundary[1:] + boundary[:1])
+            if is_empty_arc(x, y, decomposition.apex, inner)
+        ),
         None,
     )
     if first is None:
@@ -303,12 +255,11 @@ def _window_harvest(
     that trap no point of the next layer."""
     width = 2 * ell - 1
     for i in range(2, ell + 1):
-        prev = decomposition.layers[i - 2]
+        boundary = decomposition.layers[i - 2]
         cur = set(decomposition.layers[i - 1])
-        if len(prev) < 3:
-            continue
-        boundary = convex_hull(list(prev)).boundary
         n = len(boundary)
+        if n < 3:
+            continue
         if n >= width:
             windows = [
                 [boundary[(j + t) % n] for t in range(width)] for j in range(n)
@@ -344,23 +295,21 @@ def _walk(
     pts: list[Point],
     decomposition: LayerDecomposition,
     ell: int,
-    first: Arc,
+    first: tuple[Point, Point],
     trace: list[TraceStep],
 ) -> Optional[ExtractionResult]:
-    z = decomposition.apex
-    xs = [first.start]
-    ys = [first.end]
+    layers, z = decomposition.layers, decomposition.apex
+    x, y = first
+    xs = [x]
+    ys = [y]
     alignments: dict[int, str] = {}
-    arc = first
-    trace.append(TraceStep("empty-arc", {"arc": (arc.start, arc.end)}))
+    trace.append(TraceStep("empty-arc", {"arc": (x, y)}))
 
     for i in range(1, ell - 1):
         # (b) By (a) the arc's midpoint, on layer i's boundary, lies outside
         # layer i + 1's closed hull and the apex inside it, so the segment
         # between them crosses that hull's boundary: the follower exists.
-        pq = follower(arc, decomposition)
-        p, q = pq.start, pq.end
-        x, y = arc.start, arc.end
+        p, q = follower(x, y, z, layers[i])
         trace.append(
             TraceStep("follower", {"arc": (x, y), "follower": (p, q), "layer": i + 1})
         )
@@ -376,17 +325,16 @@ def _walk(
             raise GeometryError(f"arc {x, y} and follower {p, q} are not a 4-hole")
         trace.append(TraceStep("claim-b-4hole", {"points": [x, y, p, q]}))
 
-        if not is_empty_arc(pq, decomposition):
+        if not is_empty_arc(p, q, z, layers[i + 1]):
             # The follower's own triangle traps a deeper point: harvest.  It
             # is one of this layer (is_empty_arc scanned only these), and an
             # open triangle holds none of its own vertices.
-            deeper = decomposition.layers[pq.layer_index]
-            inside = [r for r in deeper if in_open_triangle(r, p, q, z)]
+            inside = [r for r in layers[i + 1] if in_open_triangle(r, p, q, z)]
             r = _closest_to_line(inside, p, q)
             result = _verified_hole(pts, [x, y, p, q, r], "claim-b-empty-harvest", trace)
             return result  # verified or fall back via None
 
-        tag = classify_alignment(arc, pq, z)
+        tag = classify_alignment(x, y, p, q, z)
         if tag == "violation":
             # Points of the closed triangle p, q, z off the line pq; z is one
             # of them, so the pool is never empty.
@@ -406,7 +354,7 @@ def _walk(
         trace.append(TraceStep("alignment", {"index": i + 1, "tag": tag}))
         xs.append(p)
         ys.append(q)
-        arc = pq
+        x, y = p, q
 
     # Every follower was aligned.  A double or left tag at i puts x_i strictly
     # inside segment x_{i-1} z (the chain points and z lie on distinct

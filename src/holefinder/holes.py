@@ -205,6 +205,8 @@ def find_visible_5_clique(points: Sequence[Point], ell: int):
     pts = canonical(validate_points(points))
     if len(pts) < 5:
         raise GeometryError("need at least 5 points")
+    if ell < 2:
+        raise GeometryError("find_visible_5_clique needs ell >= 2")
     count, witness = max_collinear(pts)
     if count >= ell:
         return CollinearCertificate.build(witness[:ell])

@@ -1,4 +1,4 @@
-"""The seven-target follower search that ``extractor._crossed_arc`` replaced.
+"""The seven-target follower search that ``extractor.follower`` replaced.
 
 It aims the segment from the apex at up to seven points of the arc xy, 1/2,
 1/3, 2/3, 1/5, 2/5, 3/5 and 4/5 of the way along, and moves to the next

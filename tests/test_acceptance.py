@@ -302,6 +302,91 @@ def test_criterion_8_terminal_harvest_path(tmp_path):
     assert "mirror" in kinds
 
 
+CLAIM_B_INNER = [(32, 10), (34, 21), (34, 35), (40, 24), (44, 28), (46, 18), (56, 22)]
+CLAIM_C_INNER = [(35, 24), (41, 25), (42, 26), (57, 11)]
+WINDOW = [(-10, 34), (18, 58), (62, 58), (92, 34), (75, 8)]
+HEPTAGON_ARC = ((-10, 34), (18, 58))
+NONAGON_ARC = ((-4, 32), (12, 62))
+
+
+def _follower(arc, follower, layer):
+    return ("follower", {"arc": arc, "follower": follower, "layer": layer})
+
+
+def _harvest(kind, points):
+    return (kind, {"verified": True, "points": points})
+
+
+# Every step of the walk's four exits, in full: kind, detail and the
+# certificate's vertices.
+FULL_TRACES = {
+    "window": (
+        HEPTAGON + [(75, 8)], 3, 7,
+        [
+            ("layers", {"sizes": [7, 0, 0], "k": 7}),
+            ("window-harvest", {"layer": 1, "window": WINDOW, "hole": WINDOW}),
+        ],
+        tuple(WINDOW),
+    ),
+    "claim-b": (
+        HEPTAGON + CLAIM_B_INNER, 4, 7,
+        [
+            ("layers", {"sizes": [7, 3, 3, 1], "k": 7}),
+            ("empty-arc", {"arc": HEPTAGON_ARC}),
+            _follower(HEPTAGON_ARC, ((32, 10), (34, 35)), 2),
+            ("claim-b-4hole", {"points": [*HEPTAGON_ARC, (32, 10), (34, 35)]}),
+            _harvest(
+                "claim-b-empty-harvest",
+                [*HEPTAGON_ARC, (32, 10), (34, 35), (34, 21)],
+            ),
+        ],
+        ((-10, 34), (18, 58), (34, 35), (34, 21), (32, 10)),
+    ),
+    "claim-c": (
+        HEPTAGON + CLAIM_C_INNER, 3, 7,
+        [
+            ("layers", {"sizes": [7, 3, 1], "k": 7}),
+            ("empty-arc", {"arc": HEPTAGON_ARC}),
+            _follower(HEPTAGON_ARC, ((35, 24), (42, 26)), 2),
+            ("claim-b-4hole", {"points": [*HEPTAGON_ARC, (35, 24), (42, 26)]}),
+            _harvest(
+                "claim-c-violation-harvest",
+                [*HEPTAGON_ARC, (35, 24), (42, 26), (41, 25)],
+            ),
+        ],
+        ((-10, 34), (18, 58), (42, 26), (41, 25), (35, 24)),
+    ),
+    "terminal": (
+        NONAGON + TERMINAL_INNER, 4, 9,
+        [
+            ("layers", {"sizes": [9, 3, 3, 1], "k": 9}),
+            ("empty-arc", {"arc": NONAGON_ARC}),
+            _follower(NONAGON_ARC, ((33, 22), (36, 30)), 2),
+            ("claim-b-4hole", {"points": [*NONAGON_ARC, (33, 22), (36, 30)]}),
+            ("alignment", {"index": 2, "tag": "right"}),
+            _follower(((33, 22), (36, 30)), ((36, 24), (40, 28)), 3),
+            ("claim-b-4hole", {"points": [(33, 22), (36, 30), (36, 24), (40, 28)]}),
+            ("alignment", {"index": 3, "tag": "left"}),
+            ("mirror", {}),
+            _harvest(
+                "terminal-harvest",
+                [(12, 62), (-4, 32), (33, 22), (36, 24), (36, 30)],
+            ),
+        ],
+        ((-4, 32), (12, 62), (36, 30), (36, 24), (33, 22)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FULL_TRACES)
+def test_criterion_8_walk_full_traces(name):
+    pts, ell, k, steps, vertices = FULL_TRACES[name]
+    result = extract(pts, ExtractionParams(ell=ell, k=k))
+    assert [(step.kind, step.detail) for step in result.trace] == steps
+    assert result.outcome.vertices == vertices
+    assert result.outcome.verify(pts)
+
+
 # --- 9. bound arithmetic ------------------------------------------------
 
 

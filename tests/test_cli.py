@@ -417,6 +417,24 @@ def test_verify_rejects_one_point_collinear_document(tmp_path, runner):
     )
 
 
+@pytest.mark.parametrize(
+    "parameter, points",
+    [(-3, [[0, 0], [1, 1]]), (0, [[0, 0], [1, 1], [2, 2]]), (1, [[0, 0], [1, 1]])],
+)
+def test_verify_rejects_collinear_parameter_below_two(
+    tmp_path, runner, parameter, points
+):
+    path = write(tmp_path, "p.txt", "0 0\n1 1\n2 2\n5 0\n")
+    doc = {"kind": "collinear", "parameter": parameter, "points": points,
+           "tool_version": "1.0.0"}
+    cert = write(tmp_path, "cert.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert])
+    assert result.exit_code == 1
+    assert "invalid certificate: a collinear certificate's parameter is at least 2" in (
+        result.output
+    )
+
+
 def test_verify_rejects_tampered_points(tmp_path, runner):
     path, out, doc = make_cert(tmp_path, runner)
     doc["points"][0] = [99, 99]

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 import holefinder.convexity
 from holefinder.convexity import (
+    LayerDecomposition,
     convex_hull,
-    convex_layers,
     es_bound,
     es_kl_bound,
     find_convex_position_subset,
@@ -293,17 +293,18 @@ def test_k_minimal_accepts_collinear_triples():
 
 def test_convex_layers_profile_5x5():
     grid = [(x, y) for x in range(5) for y in range(5)]
-    decomposition = convex_layers(grid, 5, 16)
+    outer = k_minimal_convex_subset(grid, 16)
+    decomposition = LayerDecomposition.build(grid, outer, 5)
     assert decomposition.sizes() == [16, 8, 1, 0, 0]
     assert decomposition.apex is None  # the residue layer is empty
-    with_three = convex_layers(grid, 3, 16)
+    with_three = LayerDecomposition.build(grid, outer, 3)
     assert with_three.sizes() == [16, 8, 1]
     assert with_three.apex == (2, 2)
 
 
 def test_layers_disjoint_within_first_hull():
     pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 3), (6, 3), (5, 7), (5, 5)]
-    decomposition = convex_layers(pts, 3, 4)
+    decomposition = LayerDecomposition.build(pts, k_minimal_convex_subset(pts, 4), 3)
     seen = [p for layer in decomposition.layers for p in layer]
     assert len(set(seen)) == len(seen)
     assert set(seen) <= set(pts)

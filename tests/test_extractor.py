@@ -1,5 +1,4 @@
 import random
-import re
 import time
 
 import pytest
@@ -8,15 +7,13 @@ import holefinder.extractor
 from holefinder.convexity import (
     LayerDecomposition,
     convex_hull,
-    convex_layers,
     in_closed_hull,
+    k_minimal_convex_subset,
     max_convex_size,
 )
 from holefinder.extractor import (
-    Arc,
     ExtractionParams,
     Inconclusive,
-    arcs_of_layer,
     classify_alignment,
     extract,
     follower,
@@ -166,82 +163,58 @@ def test_extract_rejects_k_below_one(k):
 
 # --- arc-level unit tests on a hand-built decomposition -----------------
 
-OUTER = ((-20, -20), (-20, 20), (20, -20), (20, 20))
+# Layers are given clockwise from their least point, as peel_layers builds them.
+OUTER = ((-20, -20), (-20, 20), (20, 20), (20, -20))
 INNER = ((-8, -2), (0, 8), (8, -2))
-DECOMP = LayerDecomposition((OUTER, INNER, ((0, 0),)), (0, 0), 3, 4)
+DECOMP = LayerDecomposition((OUTER, INNER, ((0, 0),)), (0, 0))
+BOTTOM = ((20, -20), (-20, -20))
+
+
+def _arcs(layer):
+    """The clockwise arcs of a layer: its consecutive point pairs."""
+    return list(zip(layer, layer[1:] + layer[:1]))
 
 
 def test_arcs_of_layer_clockwise():
-    arcs = arcs_of_layer(DECOMP, 1)
-    assert [(a.start, a.end) for a in arcs] == [
+    pts = sorted(OUTER + INNER) + [(0, 0)]
+    built = LayerDecomposition.build(pts, sorted(OUTER), 3)
+    assert built == DECOMP
+    assert _arcs(built.layers[0]) == [
         ((-20, -20), (-20, 20)),
         ((-20, 20), (20, 20)),
         ((20, 20), (20, -20)),
         ((20, -20), (-20, -20)),
     ]
-    assert all(a.layer_index == 1 for a in arcs)
 
 
 def test_is_empty_arc_exactly_one_empty():
-    arcs = arcs_of_layer(DECOMP, 1)
-    empties = [a for a in arcs if is_empty_arc(a, DECOMP)]
-    assert [(a.start, a.end) for a in empties] == [((20, -20), (-20, -20))]
+    empties = [a for a in _arcs(OUTER) if is_empty_arc(*a, (0, 0), INNER)]
+    assert empties == [BOTTOM]
 
 
 def test_follower_with_claim_checks():
-    arc = Arc((20, -20), (-20, -20), 1)
-    out = follower(arc, DECOMP)
-    assert (out.start, out.end, out.layer_index) == ((8, -2), (-8, -2), 2)
+    out = follower(*BOTTOM, (0, 0), INNER)
+    assert out == ((8, -2), (-8, -2))
     # The follower quadrilateral is a 4-hole of the layer points, and the
     # follower arc is empty in turn.
     ambient = [p for layer in DECOMP.layers for p in layer]
-    assert is_hole(ambient, [arc.start, arc.end, out.start, out.end])
-    assert is_empty_arc(out, DECOMP)
-
-
-def test_follower_requires_empty_arc():
-    with pytest.raises(GeometryError):
-        follower(Arc((-20, 20), (20, 20), 1), DECOMP)
-
-
-def test_layer_indices_are_checked():
-    # Layers are numbered from 1, and the innermost one has no next layer.
-    inner_only = LayerDecomposition((OUTER, INNER), (0, 0), 2, 4)
-    for index in (0, 3):
-        with pytest.raises(GeometryError, match=r"^no layer"):
-            arcs_of_layer(inner_only, index)
-    assert len(arcs_of_layer(inner_only, 2)) == 3
-    for index in (0, 3):
-        arc = Arc((20, -20), (-20, -20), index)
-        for check in (is_empty_arc, follower):
-            with pytest.raises(GeometryError, match=r"^no layer after"):
-                check(arc, DECOMP)
+    assert is_hole(ambient, [*BOTTOM, *out])
+    assert is_empty_arc(*out, (0, 0), DECOMP.layers[2])
 
 
 MIDPOINT_IN_NEXT_HULL = r"^the arc's midpoint lies in the next layer's hull"
 
-
-def test_follower_input_errors_are_not_follower_errors():
-    bottom = Arc((20, -20), (-20, -20), 1)
-    on_arc_line = LayerDecomposition((OUTER, INNER, ((0, -20),)), (0, -20), 3, 4)
-    one_point = LayerDecomposition((OUTER, ((0, 5),), ((0, 0),)), (0, 0), 3, 4)
-    for decomposition in (on_arc_line, one_point):
-        with pytest.raises(GeometryError) as info:
-            follower(bottom, decomposition)
-        assert not re.match(MIDPOINT_IN_NEXT_HULL, str(info.value))
-
-
 # Layer 2 holds the midpoint (0, -20) of the empty bottom arc.
 MIDPOINT_DECOMP = LayerDecomposition(
-    (OUTER, ((-10, -20), (0, 10), (10, -20)), ((0, 0),)), (0, 0), 3, 4
+    (OUTER, ((-10, -20), (0, 10), (10, -20)), ((0, 0),)), (0, 0)
 )
 
 
 def test_follower_error_when_midpoint_is_in_next_hull():
-    bottom = Arc((20, -20), (-20, -20), 1)
-    assert is_empty_arc(bottom, MIDPOINT_DECOMP)
+    inner = MIDPOINT_DECOMP.layers[1]
+    assert is_empty_arc(*BOTTOM, (0, 0), inner)
     with pytest.raises(GeometryError, match=MIDPOINT_IN_NEXT_HULL):
-        follower(bottom, MIDPOINT_DECOMP)
+        follower(*BOTTOM, (0, 0), inner)
 
 
 @pytest.mark.parametrize(
@@ -259,9 +232,7 @@ def test_walk_raises_on_a_broken_lemma(decomposition, extra, message):
     pts = [p for layer in decomposition.layers for p in layer] + extra
     trace = []
     with pytest.raises(GeometryError, match=message):
-        holefinder.extractor._walk(
-            pts, decomposition, 3, Arc((20, -20), (-20, -20), 1), trace
-        )
+        holefinder.extractor._walk(pts, decomposition, 3, BOTTOM, trace)
     assert {step.kind for step in trace} <= {"empty-arc", "follower"}
 
 
@@ -274,9 +245,9 @@ def _layered_sets():
             pts = random_general_position(n, seed)
         else:
             pts = random.Random(seed).sample(grid(9), n)
-        yield LayerDecomposition.build(pts, convex_hull(pts).corners, 3 + seed % 3, 5)
+        yield LayerDecomposition.build(pts, convex_hull(pts).corners, 3 + seed % 3)
         if seed < 10:
-            yield convex_layers(pts, 3, 5)
+            yield LayerDecomposition.build(pts, k_minimal_convex_subset(pts, 5), 3)
 
 
 def test_follower_matches_seven_target_reference():
@@ -290,23 +261,22 @@ def test_follower_matches_seven_target_reference():
             if len(decomposition.layers[index - 1]) < 3 or len(nxt) < 2:
                 continue
             boundary = convex_hull(list(nxt)).boundary
-            for arc in arcs_of_layer(decomposition, index):
-                x, y = arc.start, arc.end
-                if cross(x, y, z) == 0 or not is_empty_arc(arc, decomposition):
+            for x, y in _arcs(decomposition.layers[index - 1]):
+                if cross(x, y, z) == 0 or not is_empty_arc(x, y, z, nxt):
                     continue
                 expected = reference_crossed_arc(x, y, z, boundary)
                 compared += 1
                 if expected is None:
                     errors += 1
                     with pytest.raises(GeometryError, match=MIDPOINT_IN_NEXT_HULL):
-                        follower(arc, decomposition)
+                        follower(x, y, z, boundary)
                     if index + 1 < len(decomposition.layers):
                         # The apex is inside the next layer's hull, so the
                         # midpoint lies in that closed hull.
                         doubled = convex_hull([(2 * a, 2 * b) for a, b in nxt])
                         assert in_closed_hull((x[0] + y[0], x[1] + y[1]), doubled)
                 else:
-                    assert follower(arc, decomposition) == Arc(*expected, index + 1)
+                    assert follower(x, y, z, boundary) == expected
     assert compared >= 200 and errors >= 1
 
 
@@ -335,8 +305,9 @@ def test_walk_lemmas_hold_on_extract_decompositions():
     for ell, pts in cases:
         if pts is None:
             continue
-        decomposition = convex_layers(pts, ell, max_convex_size(pts))
-        layers = decomposition.layers
+        outer = k_minimal_convex_subset(pts, max_convex_size(pts))
+        decomposition = LayerDecomposition.build(pts, outer, ell)
+        layers, z = decomposition.layers, decomposition.apex
         # (a): no point lies on a layer's hull boundary unless it is of the layer.
         for index, layer in enumerate(layers[:-1], 1):
             corners = convex_hull(list(layer)).corners if layer else ()
@@ -344,29 +315,29 @@ def test_walk_lemmas_hold_on_extract_decompositions():
                 continue
             edge_points += len(layer) - len(corners)
             others = [p for p in pts if p not in layer]
-            for arc in arcs_of_layer(decomposition, index):
-                assert not any(on_closed_segment(p, arc.start, arc.end) for p in others)
-        if decomposition.apex is None:
+            for x, y in _arcs(layer):
+                assert not any(on_closed_segment(p, x, y) for p in others)
+        if z is None:
             continue  # layers-too-thin: the walk never starts
         walked += 1
         # (b) and (c): every empty arc of a peel layer has a follower, and
         # the two arcs make a 4-hole.
         for index in range(1, ell - 1):
-            for arc in arcs_of_layer(decomposition, index):
-                if is_empty_arc(arc, decomposition):
-                    pq = follower(arc, decomposition)
-                    assert is_hole(pts, [arc.start, arc.end, pq.start, pq.end])
+            for x, y in _arcs(layers[index - 1]):
+                if is_empty_arc(x, y, z, layers[index]):
+                    p, q = follower(x, y, z, layers[index])
+                    assert is_hole(pts, [x, y, p, q])
                     arcs += 1
     assert walked >= 5 and arcs >= 40 and edge_points >= 20
 
 
 def test_classify_alignment_all_tags():
     z = (0, 0)
-    arc = Arc((20, -20), (-20, -20), 1)
-    assert classify_alignment(arc, Arc((10, -10), (-10, -10), 2), z) == "double"
-    assert classify_alignment(arc, Arc((10, -10), (-8, -2), 2), z) == "left"
-    assert classify_alignment(arc, Arc((8, -2), (-10, -10), 2), z) == "right"
-    assert classify_alignment(arc, Arc((8, -2), (-8, -2), 2), z) == "violation"
+    x, y = BOTTOM
+    assert classify_alignment(x, y, (10, -10), (-10, -10), z) == "double"
+    assert classify_alignment(x, y, (10, -10), (-8, -2), z) == "left"
+    assert classify_alignment(x, y, (8, -2), (-10, -10), z) == "right"
+    assert classify_alignment(x, y, (8, -2), (-8, -2), z) == "violation"
 
 
 def test_extract_terminal_harvest():

@@ -277,6 +277,13 @@ def test_find_visible_5_clique_inconclusive():
         find_visible_5_clique([(x, y) for x in range(3) for y in range(3)], 4)
 
 
+@pytest.mark.parametrize("ell", [0, 1])
+def test_find_visible_5_clique_rejects_ell_below_two(ell):
+    pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 4)]
+    with pytest.raises(GeometryError, match=r"^find_visible_5_clique needs ell >= 2$"):
+        find_visible_5_clique(pts, ell)
+
+
 def test_find_visible_5_clique_without_a_5_hole():
     # A square around one point has no 5-hole, yet its 5 points are pairwise
     # visible: the answer is the visibility graph's clique.

@@ -122,11 +122,18 @@ def test_package_imports_no_test_reference():
         "strictly_convex_subset_in_convex_position",
         "_select_strict",
         "_sides",
+        "Arc",
+        "arcs_of_layer",
+        "_next_layer",
+        "_crossed_arc",
+        "convex_layers",
     ],
 )
 def test_removed_names_stay_out_of_the_package(name):
     # No caller in the package: the perturbation and orientation are gone,
-    # and the strict-subset construction is a test reference.
+    # and the strict-subset construction is a test reference.  The walk's
+    # arcs are point pairs of the stored layers, and tests build layers with
+    # LayerDecomposition.build.
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         defined = {

@@ -157,9 +157,14 @@ def analyze(input_file: str) -> None:
     print(f"points: {n}")
     count, _ = max_collinear(pts)
     print(f"max_collinear: {count}")
-    print(f"max_convex_subset: {max_convex_size(pts)}")
-    print(f"max_strictly_convex_subset: {max_convex_size(pts, strict=True)}")
-    largest, searched = "none", False
+    size = max_convex_size(pts)
+    print(f"max_convex_subset: {size}")
+    # With no three points collinear no point of a convex-position subset
+    # lies inside a hull edge, so the largest one is strictly convex.
+    if count >= 3:
+        size = max_convex_size(pts, strict=True)
+    print(f"max_strictly_convex_subset: {size}")
+    largest, searched, absent = "none", False, False
     for k in range(3, 8):
         limit = (
             DEFAULT_BUDGET.holes_small if k <= 5 else DEFAULT_BUDGET.holes_large
@@ -168,8 +173,13 @@ def analyze(input_file: str) -> None:
             print(f"hole_{k}: budget refused ({n} > {limit} points)")
             continue
         searched = True
-        cert = find_k_hole(pts, k)
-        if cert is not None:
+        # Dropping one corner of a k-hole leaves a (k-1)-hole, so after the
+        # first absent k no larger hole exists.
+        if absent:
+            continue
+        if find_k_hole(pts, k) is None:
+            absent = True
+        else:
             largest = k
     if not searched:
         # "none" would deny the 3-hole of any three non-collinear points.

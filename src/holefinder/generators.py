@@ -241,6 +241,8 @@ def _creates_ell_collinear(pts: Sequence[Point], p: Point, ell: int) -> bool:
 
 def random_general_position(n: int, seed: int) -> list[Point]:
     """n seeded random integer points with no three collinear."""
+    if n < 1:
+        raise GeometryError("random_general_position needs n >= 1")
     return random_bounded_collinear(n, 3, seed)
 
 

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holefinder.cli
 import holefinder.convexity
 from holefinder.cli import (
     PointFileError,
@@ -19,10 +20,16 @@ from holefinder.cli import (
     main,
     write_point_file,
 )
-from holefinder.convexity import max_convex_position_subset
-from holefinder.generators import grid, random_general_position
+from holefinder.convexity import (
+    convex_hull,
+    max_convex_position_subset,
+    max_convex_size,
+    peel_layers,
+)
+from holefinder.generators import grid, random_bounded_collinear, random_general_position
 from holefinder.geometry import GeometryError, max_collinear
-from holefinder.holes import is_hole
+from holefinder.holes import find_k_hole, is_hole
+from holefinder.oracle import DEFAULT_BUDGET
 
 from convex_reference import reference_convex_subset
 
@@ -140,6 +147,107 @@ def test_analyze_does_not_walk(tmp_path, runner, monkeypatch):
         # The table's sizes are the walk's.
         assert f"max_convex_subset: {most}\n" in result.output
         assert f"max_strictly_convex_subset: {most_strict}\n" in result.output
+
+
+def _analyze_output(tmp_path, runner, pts):
+    path = tmp_path / "pts.txt"
+    write_point_file(str(path), pts)
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 0
+    return result.output
+
+
+def test_analyze_runs_the_strict_table_only_with_three_collinear(
+    tmp_path, runner, monkeypatch
+):
+    table = holefinder.cli.max_convex_size
+    calls = []
+
+    def recording(pts, strict=False):
+        calls.append(strict)
+        return table(pts, strict)
+
+    monkeypatch.setattr(holefinder.cli, "max_convex_size", recording)
+    for pts, expected in (
+        (random_general_position(16, 0), [False]),
+        (grid(4), [False, True]),
+        ([(0, 0), (4, 0), (4, 4), (0, 4), (2, 0)], [False, True]),
+    ):
+        calls.clear()
+        _analyze_output(tmp_path, runner, pts)
+        assert calls == expected
+
+
+def test_analyze_stops_the_hole_sweep_at_the_first_absent_size(
+    tmp_path, runner, monkeypatch
+):
+    search = holefinder.cli.find_k_hole
+    sizes = []
+
+    def recording(pts, k):
+        sizes.append(k)
+        return search(pts, k)
+
+    monkeypatch.setattr(holefinder.cli, "find_k_hole", recording)
+    # Grids have a 4-hole and no 5-hole, so no 6- or 7-hole either.  On
+    # grid(5)'s 25 points the budget refuses k = 6 and 7 anyway.
+    for pts in (grid(4), grid(5)):
+        sizes.clear()
+        output = _analyze_output(tmp_path, runner, pts)
+        assert sizes == [3, 4, 5]
+        assert "largest_hole: 4\n" in output
+
+
+def _reference_report(pts):
+    """analyze's report computed from both size tables and every hole
+    search the budget allows."""
+    n = len(pts)
+    lines = [
+        f"points: {n}",
+        f"max_collinear: {max_collinear(pts)[0]}",
+        f"max_convex_subset: {max_convex_size(pts)}",
+        f"max_strictly_convex_subset: {max_convex_size(pts, strict=True)}",
+    ]
+    found, searched = [], False
+    for k in range(3, 8):
+        limit = DEFAULT_BUDGET.holes_small if k <= 5 else DEFAULT_BUDGET.holes_large
+        if n > limit:
+            lines.append(f"hole_{k}: budget refused ({n} > {limit} points)")
+            continue
+        searched = True
+        if find_k_hole(pts, k) is not None:
+            found.append(k)
+    if not searched:
+        largest = f"budget refused ({n} > {DEFAULT_BUDGET.holes_small} points)"
+    else:
+        largest = max(found, default="none")
+    lines.append(f"largest_hole: {largest}")
+    layers, _ = peel_layers(pts, convex_hull(pts).boundary, n)
+    lines.append(f"convex_layers: {[len(layer) for layer in layers]}")
+    return "".join(line + "\n" for line in lines)
+
+
+REPORT_INPUTS = {
+    **{
+        f"general-{n}-{s}": random_general_position(n, s)
+        for n, s in ((6, 0), (12, 1), (16, 2), (24, 3))
+    },
+    **{
+        f"bounded4-{n}-{s}": random_bounded_collinear(n, 4, s)
+        for n, s in ((10, 0), (14, 1), (22, 2))
+    },
+    "grid4": grid(4),
+    "grid5": grid(5),
+    "line5": [(i, 0) for i in range(5)],  # not even a 3-hole
+    # Three collinear points, and maxima of 5 and 4.
+    "square-edge": [(0, 0), (4, 0), (4, 4), (0, 4), (2, 0)],
+}
+
+
+@pytest.mark.parametrize("label", REPORT_INPUTS)
+def test_analyze_report_matches_the_reference(tmp_path, runner, label):
+    pts = REPORT_INPUTS[label]
+    assert _analyze_output(tmp_path, runner, pts) == _reference_report(pts)
 
 
 def test_analyze_rejects_bad_file(tmp_path, runner):
@@ -345,6 +453,12 @@ def test_generate_rejects_bad_parameters(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["generate", "horton", "12"])
     assert result.exit_code == 2
+
+
+def test_generate_random_general_position_needs_a_point(runner):
+    result = runner.invoke(main, ["generate", "random_general_position", "0"])
+    assert result.exit_code == 2
+    assert result.output == "error: random_general_position needs n >= 1\n"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from holefinder.convexity import (
     q_formula,
 )
 from holefinder.generators import grid, horton
-from holefinder.geometry import GeometryError
+from holefinder.geometry import GeometryError, cross, max_collinear
 from holefinder.oracle import oracle_max_convex_subset
 
 from convex_reference import (
@@ -203,6 +203,14 @@ SIZE_SETS = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 @example(grid(4))
 @example(horton(16))
 @example(horton(16)[::-1])
+# Exact turn tests far from the origin.
+@example([(10**20 * x - 10**25, 10**20 * y - 10**25) for x, y in horton(16)])
+# A vertical run, whose interior points count on a vertical edge.
+@example([(0, 0), (0, 1), (0, 2), (0, 3), (2, 1), (1, 4), (3, 3)])
+# From the base (1, 4), the longest chain into (3, 2), through (3, 1),
+# turns right there towards (4, 4), so a shorter one, through (2, 2),
+# answers: extending only the longest chain gives 4, not 5.
+@example([(0, 3), (1, 4), (2, 2), (3, 1), (3, 2), (4, 4)])
 def test_max_convex_size_matches_oracle_and_reference(pts):
     # find trusts the table for None, so its size must be exact, not a bound.
     canon = sorted(pts)
@@ -212,6 +220,31 @@ def test_max_convex_size_matches_oracle_and_reference(pts):
         assert size == len(reference_convex_subset(canon, strict, n + 1))
         if n <= 12:
             assert size == oracle_max_convex_subset(pts, strict=strict)
+
+
+def _no_three_collinear(pts):
+    """The points of ``pts``, in order, that make no collinear triple with
+    the points kept before them."""
+    kept = []
+    for p in pts:
+        if all(cross(a, b, p) != 0 for i, a in enumerate(kept) for b in kept[:i]):
+            kept.append(p)
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        min_size=1,
+        max_size=14,
+        unique=True,
+    ).map(_no_three_collinear)
+)
+def test_strict_maximum_is_the_maximum_without_three_collinear(pts):
+    # analyze prints the non-strict maximum as the strict one on such sets.
+    assert max_collinear(pts)[0] < 3
+    assert max_convex_size(pts, strict=True) == max_convex_size(pts)
 
 
 def test_max_convex_size_rejects_repeated_point():

@@ -119,6 +119,12 @@ def test_random_general_position():
     assert is_general_position(pts)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_general_position_needs_a_point(n):
+    with pytest.raises(GeometryError, match=r"^random_general_position needs n >= 1$"):
+        random_general_position(n, seed=0)
+
+
 def test_random_convex_position():
     pts = random_convex_position(9, 4, seed=5)
     assert len(pts) == 9

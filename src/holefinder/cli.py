@@ -19,7 +19,6 @@ from .convexity import (
     convex_hull,
     es_bound,
     es_kl_bound,
-    is_strictly_convex_position,
     max_convex_size,
     peel_layers,
     q_formula,
@@ -31,7 +30,7 @@ from .extractor import (
     threshold_k,
 )
 from .geometry import GeometryError, Point, max_collinear
-from .holes import CollinearCertificate, find_k_hole, is_hole
+from .holes import CollinearCertificate, HoleCertificate, find_k_hole
 from . import generators as gen
 from .oracle import DEFAULT_BUDGET
 
@@ -257,26 +256,17 @@ def generate(family: str, parameters, seed: int, out: Optional[str]) -> None:
 
 
 def _generate(family: str, params: list[int], seed: int) -> list[Point]:
-    if family == "every_second_side":
-        return gen.every_second_side(*params)
-    if family == "grid":
-        return gen.grid(*params)
-    if family == "horton":
-        return gen.horton(*params)
-    if family == "collinear_plus_one":
-        return gen.collinear_plus_one(*params)
     if family == "eppstein_e":  # one frozen 6-point set
         _padded(family, params, [])
         return gen.eppstein_family("e")
     if family.startswith("eppstein_"):
         return gen.eppstein_family(family[-1], *params)
     if family == "random_general_position":
-        (n,) = _padded(family, params, [10])
-        return gen.random_general_position(n, seed)
+        return gen.random_general_position(*_padded(family, params, [10]), seed)
     if family == "random_bounded_collinear":
-        n, ell = _padded(family, params, [10, 3])
-        return gen.random_bounded_collinear(n, ell, seed)
-    raise GeometryError(f"unknown family {family!r}")
+        return gen.random_bounded_collinear(*_padded(family, params, [10, 3]), seed)
+    # The other families take their parameters as given.
+    return getattr(gen, family)(*params)
 
 
 def _padded(family: str, params: list[int], defaults: list[int]) -> list[int]:
@@ -312,7 +302,8 @@ def verify(input_file: str, certificate_file: str) -> None:
 
 
 def _verify_document(pts: list[Point], doc) -> Optional[str]:
-    """The first violated condition, or None when the certificate is valid."""
+    """The first violated condition, or None when the certificate is valid:
+    the document's shape here, then the certificate class's own check."""
     if not isinstance(doc, dict):
         return "document is not a JSON object"
     if doc.get("kind") == "inconclusive":
@@ -331,33 +322,19 @@ def _verify_document(pts: list[Point], doc) -> Optional[str]:
         for p in raw
     ):
         return "points are not integer pairs"
-    cert_pts = [(x, y) for x, y in raw]
-    ambient = set(pts)
-    if not all(p in ambient for p in cert_pts):
-        return "certificate point not in the point set"
-    if len(set(cert_pts)) != len(cert_pts):
-        return "duplicate certificate points"
-    if doc["kind"] == "collinear":
-        if len(cert_pts) < doc["parameter"]:
-            return "fewer points than the stated collinearity"
-        try:
-            cert = CollinearCertificate.build(cert_pts)
-        except GeometryError as exc:
-            return str(exc)
-        if doc["parameter"] < 2:
-            return "a collinear certificate's parameter is at least 2"
-        return None if cert.verify(pts) else "collinearity check failed"
-    if doc["kind"] == "hole":
-        if len(cert_pts) != doc["parameter"]:
-            return "point count disagrees with the stated parameter"
-        if len(cert_pts) < 3:
-            return "a hole has at least 3 points"
-        if not is_strictly_convex_position(cert_pts):
-            return "not strictly convex"
-        if not is_hole(pts, cert_pts):
-            return "hull not empty"
-        return None
-    return f"unknown certificate kind: {doc['kind']!r}"
+    cert_pts = tuple((x, y) for x, y in raw)
+    kind, parameter = doc["kind"], doc["parameter"]
+    if kind == "hole":
+        return HoleCertificate(cert_pts, parameter).problem(pts)
+    if kind != "collinear":
+        return f"unknown certificate kind: {kind!r}"
+    # A collinear document may list more points than its parameter claims.
+    problem = CollinearCertificate(cert_pts, len(cert_pts)).problem(pts)
+    if problem is None and len(cert_pts) < parameter:
+        return "fewer points than the stated collinearity"
+    if problem is None and parameter < 2:
+        return "a collinear certificate's parameter is at least 2"
+    return problem
 
 
 @main.command()

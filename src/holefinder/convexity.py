@@ -193,8 +193,13 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
     and p in the fan, or on chain[-1]'s ray before chain[-1].  The latter
     lie on segment (base, chain[-1]), which the previous fan triangle or
     the first-edge test already cleared; that holds as well for the
-    degenerate triangle with p on chain[-1]'s ray.  Only a chain of
-    ``target`` corners is tested for closing.
+    degenerate triangle with p on chain[-1]'s ray.  Every chain of three
+    or more corners closes: its candidates come in fan order within a
+    half-turn above the base, and two on one ray never follow each other
+    (for x the base or a candidate before c, and p = base + t(c - base)
+    with t > 1, cross(x, c, p) = (1 - t) cross(base, x, c) <= 0 fails the
+    turn test), so the turns at the base and at p, cross(chain[-2], p,
+    base) = cross(base, chain[-2], p), are left turns.
     """
     if target < 1:
         raise GeometryError("subset size must be positive")
@@ -237,10 +242,7 @@ def _convex_walk(pts: list[Point], target: int, empty: bool = False) -> list[Poi
                 continue
             chain.append(p)
             nxt.append(i + 1)
-            # The turn at the base needs no test: the candidates lie within a
-            # half-turn above it, and chain[1], chain[2], p come in strictly
-            # increasing angle, since a chain never runs straight on.
-            if len(chain) < closing or cross(chain[-2], p, base) <= 0:
+            if len(chain) < closing:
                 continue
             found = list(chain)
             if not empty:
@@ -270,8 +272,9 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
     -> cand[j] -> cand[i]: its corners and, in the non-strict case, the
     points inside each of its edges.  As in the walk, the candidates of a
     chain come in angle order and a chain enters cand[i] only on a strict
-    left turn, so the polygons closed here, where cross(cand[j], cand[i],
-    base) > 0, are exactly those the walk closes.  Up to two points, and
+    left turn, so every chain closes, as in the walk: ``cross`` is cyclic,
+    so the turn back to the base, cross(cand[j], cand[i], base), is the
+    step's cross(base, cand[j], cand[i]) > 0.  Up to two points, and
     (non-strict) the longest collinear run, count as well.  The points
     inside an edge, and so the longest run, come from
     ``_segment_interiors`` in O(n²) direction work; the table takes O(n⁴).
@@ -299,8 +302,7 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
                         most = v
                 most += 1 + inner.get((b, c) if b < c else (c, b), 0)
                 row[j] = most
-                if cross(b, c, base) > 0:
-                    best = max(best, most + first[i] - 2)
+                best = max(best, most + first[i] - 2)
             size.append(row)
     return best
 

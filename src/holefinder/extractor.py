@@ -168,10 +168,9 @@ def _fallback(pts, params: ExtractionParams, trace) -> ExtractionResult:
     if not params.oracle_fallback:
         trace.append(TraceStep("inconclusive", {"fallback": False}))
         return ExtractionResult(Inconclusive(exhausted=False), trace)
+    # find_k_hole checks the hole it builds against these same points.
     hole = find_k_hole(pts, 5)
     if hole is not None:
-        if not hole.verify(pts):
-            raise GeometryError(f"fallback hole {hole.vertices} fails verification")
         trace.append(TraceStep("oracle-fallback", {"found": True}))
         return ExtractionResult(hole, trace)
     trace.append(TraceStep("oracle-fallback", {"found": False, "complete": True}))
@@ -179,11 +178,13 @@ def _fallback(pts, params: ExtractionParams, trace) -> ExtractionResult:
 
 
 def _verified_hole(pts, candidate, kind, trace) -> Optional[ExtractionResult]:
-    if len(set(candidate)) != 5 or not is_hole(pts, candidate):
-        trace.append(TraceStep(kind, {"verified": False, "points": list(candidate)}))
-        return None
-    trace.append(TraceStep(kind, {"verified": True, "points": list(candidate)}))
-    return ExtractionResult(HoleCertificate.build(pts, candidate), trace)
+    try:
+        hole = HoleCertificate.build(pts, candidate)
+    except GeometryError:
+        hole = None
+    verified = hole is not None
+    trace.append(TraceStep(kind, {"verified": verified, "points": list(candidate)}))
+    return ExtractionResult(hole, trace) if verified else None
 
 
 def _run_machinery(
@@ -277,10 +278,7 @@ def _window_harvest(
                 continue
             hole = find_k_hole(local, 5)
             if hole is not None:
-                if not hole.verify(pts):
-                    raise GeometryError(
-                        f"window hole {hole.vertices} is not a hole of the set"
-                    )
+                hole = HoleCertificate.build(pts, hole.vertices)
                 trace.append(
                     TraceStep(
                         "window-harvest",

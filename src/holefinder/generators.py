@@ -244,22 +244,3 @@ def random_general_position(n: int, seed: int) -> list[Point]:
     if n < 1:
         raise GeometryError("random_general_position needs n >= 1")
     return random_bounded_collinear(n, 3, seed)
-
-
-def random_convex_position(n: int, ell: int, seed: int) -> list[Point]:
-    """n seeded points in convex position with max_collinear < ell: a random
-    subset of a loaded polygon with randomized side slopes."""
-    if n < 3 or ell < 3:
-        raise GeometryError("random_convex_position needs n >= 3, ell >= 3")
-    rng = random.Random(seed)
-    per_line = ell - 1
-    sides = max(2, -(-n // per_line))
-    for _ in range(200):
-        pool = _loaded_polygon(sides, ell, rng.randrange(1, 12))
-        if len(pool) < n or max_collinear(pool)[0] >= ell:
-            sides += 1
-            continue
-        pts = rng.sample(pool, n)
-        if max_collinear(pts)[0] < ell and is_convex_position(pts):
-            return canonical(pts)
-    raise GeometryError("could not realize random convex-position set")

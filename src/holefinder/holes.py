@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .convexity import _convex_walk, convex_hull, in_closed_hull
 from .geometry import (
@@ -36,20 +36,28 @@ class HoleCertificate:
 
     @classmethod
     def build(cls, ambient: Sequence[Point], vertices: Sequence[Point]) -> "HoleCertificate":
-        """Certificate for the given vertex set, verified against ambient."""
-        if not is_hole(ambient, vertices):
-            raise GeometryError(f"{list(vertices)} is not a hole of the point set")
-        cw = convex_hull(list(vertices)).boundary
-        return cls(tuple(cw), len(vertices))
+        """Certificate for the given vertex set, checked against ambient."""
+        problem = cls(tuple(vertices), len(vertices)).problem(ambient)
+        if problem is not None:
+            raise GeometryError(f"{list(vertices)} is not a hole of the set: {problem}")
+        return cls(convex_hull(vertices).boundary, len(vertices))
+
+    def problem(self, ambient: Sequence[Point]) -> Optional[str]:
+        """The first broken condition of a k-hole of ambient, or None."""
+        pts = validate_points(ambient)
+        problem = _point_problem(pts, self.vertices, self.k)
+        if problem is not None or self.k < 3:
+            return problem or "a hole has at least 3 points"
+        hull = convex_hull(self.vertices)
+        if len(hull.corners) != self.k:
+            return "not strictly convex"
+        inside = set(self.vertices)
+        if any(p not in inside and in_closed_hull(p, hull) for p in pts):
+            return "hull not empty"
+        return None
 
     def verify(self, ambient: Sequence[Point]) -> bool:
-        try:
-            vertices = validate_points(self.vertices)
-        except GeometryError:
-            return False  # a repeated vertex or a non-integer pair is no hole
-        if len(vertices) != self.k or not set(vertices) <= set(ambient):
-            return False
-        return is_hole(ambient, vertices)
+        return self.problem(ambient) is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,39 +69,57 @@ class CollinearCertificate:
 
     @classmethod
     def build(cls, points: Sequence[Point]) -> "CollinearCertificate":
-        pts = validate_points(points)
-        if len(pts) < 2:
-            raise GeometryError("a collinear certificate needs at least 2 points")
-        a, b = pts[0], pts[1]
-        if any(p not in (a, b) and cross(a, b, p) != 0 for p in pts):
-            raise GeometryError("points are not collinear")
+        """Certificate for the given points, checked against themselves."""
+        pts = tuple(points)
+        problem = cls(pts, len(pts)).problem(pts)
+        if problem is not None:
+            raise GeometryError(problem)
         return cls(tuple(sorted(pts)), len(pts))
 
+    def problem(self, ambient: Sequence[Point]) -> Optional[str]:
+        """The first broken condition of ell collinear points of ambient, or None."""
+        pts = self.points
+        problem = _point_problem(validate_points(ambient), pts, self.ell)
+        if problem is not None or self.ell < 2:
+            return problem or "a collinear certificate needs at least 2 points"
+        if any(cross(pts[0], pts[1], p) != 0 for p in pts[2:]):
+            return "points are not collinear"
+        return None
+
     def verify(self, ambient: Sequence[Point]) -> bool:
-        try:
-            pts = validate_points(self.points)
-        except GeometryError:
-            return False  # a repeated point or a non-integer pair is no line
-        if not len(pts) == self.ell >= 2 or not set(pts) <= set(ambient):
-            return False
-        a, b = pts[0], pts[-1]
-        return all(p in (a, b) or cross(a, b, p) == 0 for p in pts)
+        return self.problem(ambient) is None
+
+
+# The conditions on the listed points alone, on which is_hole raises.
+_NOT_POINTS = (
+    "points are not integer pairs",
+    "certificate point not in the point set",
+    "duplicate certificate points",
+)
+
+
+def _point_problem(ambient: list[Point], points: Sequence, count: int) -> Optional[str]:
+    """The first way ``points`` fail to be ``count`` distinct integer points
+    of ``ambient``, or None; integers first, as (5.0, 15) equals (5, 15)."""
+    if not all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int
+               for p in points):
+        return _NOT_POINTS[0]
+    if not set(points) <= set(ambient):
+        return _NOT_POINTS[1]
+    if len(set(points)) != len(points):
+        return _NOT_POINTS[2]
+    if len(points) != count:
+        return "point count disagrees with the stated parameter"
+    return None
 
 
 def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
-    """True iff ``subset`` is a |subset|-hole of ``points``."""
-    pts = validate_points(points)
-    sub = validate_points(subset)
-    pset = set(pts)
-    if any(x not in pset for x in sub):
-        raise GeometryError("hole vertices must belong to the ambient set")
-    if len(sub) < 3:
-        return False
-    hull = convex_hull(sub)
-    if len(hull.corners) != len(sub):
-        return False  # not in strictly convex position
-    sub_set = set(sub)
-    return all(p in sub_set or not in_closed_hull(p, hull) for p in pts)
+    """True iff ``subset`` is a |subset|-hole of ``points``; raises
+    GeometryError unless the subset is distinct integer points of the set."""
+    problem = HoleCertificate(tuple(subset), len(subset)).problem(points)
+    if problem in _NOT_POINTS:
+        raise GeometryError(f"hole vertices: {problem}")
+    return problem is None
 
 
 def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
@@ -252,25 +278,21 @@ class NoFourHoleFamily:
 def same_order_type(a: Sequence[Point], b: Sequence[Point]) -> bool:
     """True iff some relabeling (allowing a mirror) matches all triple
     orientations of ``a`` to those of ``b``."""
-    pa = list(a)
-    pb = list(b)
-    if len(pa) != len(pb):
+    if len(a) != len(b):
         return False
-    n = len(pa)
-    triples = list(itertools.combinations(range(n), 3))
-    sig_a = [cross(pa[i], pa[j], pa[k]) for i, j, k in triples]
-    signs_a = [(v > 0) - (v < 0) for v in sig_a]
-    for perm in itertools.permutations(range(n)):
-        for flip in (1, -1):
-            ok = True
-            for (i, j, k), want in zip(triples, signs_a):
-                v = cross(pb[perm[i]], pb[perm[j]], pb[perm[k]])
-                if ((v > 0) - (v < 0)) * flip != want:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    triples = list(itertools.combinations(range(len(a)), 3))
+
+    def signs(pts: Sequence[Point]) -> Iterator[int]:
+        for i, j, k in triples:
+            v = cross(pts[i], pts[j], pts[k])
+            yield (v > 0) - (v < 0)
+
+    want = list(signs(a))
+    return any(
+        all(s * flip == w for s, w in zip(signs(relabeled), want))
+        for relabeled in itertools.permutations(b)
+        for flip in (1, -1)
+    )
 
 
 def _two_apex_line_witness(pts: list[Point]) -> Optional[tuple[Point, ...]]:

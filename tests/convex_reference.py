@@ -12,11 +12,12 @@ It also holds the constructive side of ``q_formula``, which ``holefinder
 bounds`` prints: ``strictly_convex_subset_in_convex_position`` picks k
 strictly convex points out of any q_formula(k, ell) points in convex
 position with fewer than ell collinear, by the case split on points per
-hull side.
+hull side, and ``random_convex_position``, which draws such sets.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Optional, Sequence
 
 from holefinder.convexity import (
@@ -39,6 +40,7 @@ from holefinder.geometry import (
     on_closed_segment,
     validate_points,
 )
+from holefinder.generators import _loaded_polygon
 from holefinder.holes import HoleCertificate
 
 
@@ -332,3 +334,22 @@ def _select_strict(pts: list[Point], k: int, ell: int) -> list[Point]:
     if len(picked) < k:
         raise GeometryError(f"only {len(picked)} strictly convex points, need {k}")
     return picked[:k]
+
+
+def random_convex_position(n: int, ell: int, seed: int) -> list[Point]:
+    """n seeded points in convex position with max_collinear < ell: a random
+    subset of a loaded polygon with randomized side slopes."""
+    if n < 3 or ell < 3:
+        raise GeometryError("random_convex_position needs n >= 3, ell >= 3")
+    rng = random.Random(seed)
+    per_line = ell - 1
+    sides = max(2, -(-n // per_line))
+    for _ in range(200):
+        pool = _loaded_polygon(sides, ell, rng.randrange(1, 12))
+        if len(pool) < n or max_collinear(pool)[0] >= ell:
+            sides += 1
+            continue
+        pts = rng.sample(pool, n)
+        if max_collinear(pts)[0] < ell and is_convex_position(pts):
+            return canonical(pts)
+    raise GeometryError("could not realize random convex-position set")

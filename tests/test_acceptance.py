@@ -33,7 +33,6 @@ from holefinder.generators import (
     grid,
     horton,
     random_bounded_collinear,
-    random_convex_position,
     random_general_position,
 )
 from holefinder.geometry import GeometryError, max_collinear
@@ -47,6 +46,7 @@ from holefinder.holes import (
 from holefinder.oracle import OracleBudget, oracle_k_hole, oracle_max_convex_subset
 
 from convex_reference import (
+    random_convex_position,
     reference_convex_subset,
     reference_k_hole,
     reference_k_minimal_convex_subset,

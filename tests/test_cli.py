@@ -682,6 +682,78 @@ def test_verify_rejects_duplicate_collinear_points(tmp_path, runner):
     assert "duplicate certificate points" in result.output
 
 
+# A square around its centre, and a point that puts three on its bottom line.
+TABLE_TEXT = "0 0\n4 0\n4 4\n0 4\n2 2\n8 0\n"
+EMPTY_TRIANGLE = [[0, 0], [4, 0], [2, 2]]
+BOTTOM_LINE = [[0, 0], [4, 0], [8, 0]]
+
+
+def _doc(kind, parameter, points, **extra):
+    return {"kind": kind, "parameter": parameter, "points": points,
+            "tool_version": "1.0.0", **extra}
+
+
+def test_verify_accepts_a_collinear_document_with_more_points(tmp_path, runner):
+    # 2 <= parameter <= len(points): five points of a grid column prove that
+    # the grid has 3 collinear points.
+    path = tmp_path / "grid.txt"
+    write_point_file(str(path), grid(5))
+    doc = _doc("collinear", 3, [[0, y] for y in range(5)])
+    cert = write(tmp_path, "cert.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(path), cert])
+    assert (result.exit_code, result.output) == (0, "certificate valid\n")
+
+
+# One document per message of verify, each breaking one condition of a valid
+# certificate.  The one-point document is the exception: a collinear
+# document's parameter is at most its point count, so with one point the
+# parameter is below 2 as well.
+VERIFY_TABLE = [
+    ("document is not a JSON object", [EMPTY_TRIANGLE]),
+    ("an inconclusive result is not a certificate",
+     {"kind": "inconclusive", "exhausted": True, "tool_version": "1.0.0"}),
+    ("unknown fields: ['extra']", _doc("hole", 3, EMPTY_TRIANGLE, extra=1)),
+    ("missing field: tool_version",
+     {"kind": "hole", "parameter": 3, "points": EMPTY_TRIANGLE}),
+    ("parameter is not an integer", _doc("collinear", "3", BOTTOM_LINE)),
+    ("points are not integer pairs", _doc("hole", 3, [[0, 0], [4, 0], [2, 2.0]])),
+    ("certificate point not in the point set", _doc("hole", 3, [[0, 0], [4, 0], [3, 1]])),
+    ("duplicate certificate points", _doc("collinear", 3, BOTTOM_LINE + [[8, 0]])),
+    ("fewer points than the stated collinearity", _doc("collinear", 4, BOTTOM_LINE)),
+    ("a collinear certificate needs at least 2 points", _doc("collinear", 1, [[0, 0]])),
+    ("points are not collinear", _doc("collinear", 3, [[0, 0], [4, 0], [4, 4]])),
+    ("a collinear certificate's parameter is at least 2", _doc("collinear", 1, BOTTOM_LINE)),
+    ("point count disagrees with the stated parameter", _doc("hole", 4, EMPTY_TRIANGLE)),
+    ("a hole has at least 3 points", _doc("hole", 2, [[0, 0], [4, 0]])),
+    ("not strictly convex", _doc("hole", 3, BOTTOM_LINE)),
+    ("hull not empty", _doc("hole", 4, [[0, 0], [4, 0], [4, 4], [0, 4]])),
+    ("unknown certificate kind: 'line'", _doc("line", 3, BOTTOM_LINE)),
+]
+
+
+@pytest.mark.parametrize(
+    "message, doc", VERIFY_TABLE, ids=[message for message, _ in VERIFY_TABLE]
+)
+def test_verify_prints_the_broken_condition(tmp_path, runner, message, doc):
+    path = write(tmp_path, "p.txt", TABLE_TEXT)
+    cert = write(tmp_path, "cert.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert])
+    assert (result.exit_code, result.output) == (1, f"invalid certificate: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_doc("hole", 3, EMPTY_TRIANGLE), _doc("collinear", 3, BOTTOM_LINE),
+     _doc("collinear", 2, BOTTOM_LINE)],
+    ids=["hole", "collinear", "collinear-more-points"],
+)
+def test_verify_accepts_the_table_certificates(tmp_path, runner, doc):
+    path = write(tmp_path, "p.txt", TABLE_TEXT)
+    cert = write(tmp_path, "cert.json", json.dumps(doc))
+    result = runner.invoke(main, ["verify", path, cert])
+    assert (result.exit_code, result.output) == (0, "certificate valid\n")
+
+
 # --- bounds -------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from holefinder.generators import (
     grid,
     horton,
     random_bounded_collinear,
-    random_convex_position,
     random_general_position,
 )
 from holefinder.geometry import GeometryError, is_general_position, max_collinear
@@ -27,6 +26,7 @@ from collinear_reference import (
     reference_horton,
     reference_random_bounded_collinear,
 )
+from convex_reference import random_convex_position
 
 
 def test_every_second_side_sizes():

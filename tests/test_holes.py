@@ -178,6 +178,31 @@ def test_collinear_certificate_round_trip():
     assert not twice.verify([(0, 0), (1, 1), (5, 0)])
 
 
+def test_collinear_certificate_counts_exactly_ell_points():
+    # The document rule of holefinder verify lets a collinear document list
+    # more points than its parameter; the certificate itself does not.
+    column = tuple((0, y) for y in range(5))
+    assert CollinearCertificate(column, 5).verify(grid(5))
+    assert CollinearCertificate(column, 3).problem(grid(5)) == (
+        "point count disagrees with the stated parameter"
+    )
+    assert not CollinearCertificate(column[:3], 5).verify(grid(5))
+
+
+def test_certificate_problems_name_the_first_broken_condition():
+    square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    center = square + [(2, 2)]
+    assert HoleCertificate(tuple(square), 4).problem(square) is None
+    assert HoleCertificate(tuple(square), 4).problem(center) == "hull not empty"
+    assert HoleCertificate(((0, 0), (2, 2), (4, 4)), 3).problem(center) == (
+        "not strictly convex"
+    )
+    with pytest.raises(GeometryError, match="is not a hole of the set: hull not empty"):
+        HoleCertificate.build(center, square)
+    with pytest.raises(GeometryError, match="^points are not collinear$"):
+        CollinearCertificate.build([(0, 0), (4, 0), (4, 4)])
+
+
 def test_collinear_certificate_rejects_non_collinear():
     with pytest.raises(GeometryError):
         CollinearCertificate.build([(0, 0), (1, 1), (2, 0)])

@@ -56,6 +56,12 @@ def test_library_has_no_assert_statements():
     ids=["angle_order", "_convex_walk", "on_closed_segment", "in_closed_triangle"],
 )
 def test_one_chain_engine(callee, callers):
+    assert _callers(callee) == callers
+
+
+def _callers(callee):
+    """module.function for every call of ``callee`` in the package, by name
+    or as an attribute (a method is named without its class)."""
     found = set()
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -71,7 +77,32 @@ def test_one_chain_engine(callee, callers):
                 getattr(node.func, "attr", None),
             ):
                 found.add(f"{path.stem}.{scope.get(node, '<module>')}")
-    assert found == callers
+    return found
+
+
+@pytest.mark.parametrize(
+    "callee, callers",
+    [
+        # Each certificate kind has one check, ``problem``: the builds, the
+        # verifies, is_hole and the CLI's verify all answer through it.
+        (
+            "problem",
+            {"holes.build", "holes.verify", "holes.is_hole", "cli._verify_document"},
+        ),
+        ("_point_problem", {"holes.problem"}),
+        # The extractor checks each hole once, as it builds it; the CLI
+        # rechecks extract's answer.
+        ("verify", {"cli.extract_cmd"}),
+    ],
+    ids=["problem", "_point_problem", "verify"],
+)
+def test_one_certificate_check(callee, callers):
+    assert _callers(callee) == callers
+
+
+@pytest.mark.parametrize("callee", ["is_hole", "is_strictly_convex_position"])
+def test_cli_checks_no_certificate_geometry(callee):
+    assert not {c for c in _callers(callee) if c.startswith("cli.")}
 
 
 def test_readme_lists_extract_trace_kinds():
@@ -127,11 +158,13 @@ def test_package_imports_no_test_reference():
         "_next_layer",
         "_crossed_arc",
         "convex_layers",
+        "random_convex_position",
     ],
 )
 def test_removed_names_stay_out_of_the_package(name):
     # No caller in the package: the perturbation and orientation are gone,
-    # and the strict-subset construction is a test reference.  The walk's
+    # and the strict-subset construction and its random inputs are test
+    # references.  The walk's
     # arcs are point pairs of the stored layers, and tests build layers with
     # LayerDecomposition.build.
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):

@@ -268,42 +268,62 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
     without walking.
 
     A table over each base's fan (Chvátal and Klincsek, 1980) replaces the
-    walk's chains.  ``size[i][j]`` is the most points of a chain base -> ...
-    -> cand[j] -> cand[i]: its corners and, in the non-strict case, the
-    points inside each of its edges.  As in the walk, the candidates of a
-    chain come in angle order and a chain enters cand[i] only on a strict
-    left turn, so every chain closes, as in the walk: ``cross`` is cyclic,
-    so the turn back to the base, cross(cand[j], cand[i], base), is the
-    step's cross(base, cand[j], cand[i]) > 0.  Up to two points, and
-    (non-strict) the longest collinear run, count as well.  The points
-    inside an edge, and so the longest run, come from
-    ``_segment_interiors`` in O(n²) direction work; the table takes O(n⁴).
+    walk's chains.  A chain base -> ... -> cand[j] counts its corners and,
+    in the non-strict case, the points inside its edges; ``first[j]``
+    counts base -> cand[j].  ``ranked[j]`` holds every longer chain into
+    cand[j] as (count, x, y), (x, y) the point before cand[j], longest
+    first.  A step from b = cand[j] to c = cand[i] extends the first entry
+    that turns left at b towards c, else the edge from the base.  With u =
+    c - b, cross(h, b, c) = b×u - h×u, so every turn test, the base's too,
+    compares h×u with b×u, computed once per step.  As in the walk, the
+    candidates of a chain come in angle order and a chain enters cand[i]
+    only on a strict left turn, so every chain closes: ``cross`` is cyclic,
+    so the turn back to the base, cross(b, c, base), is the step's
+    cross(base, b, c) > 0.  Closing adds first[i] - 2 to the longest step
+    into cand[i] over every j, kept in ``ranked[i]`` or not.  Up to two
+    points, and (non-strict) the longest collinear run, count as well.  The
+    points inside an edge come from ``_segment_interiors`` in O(n²)
+    direction work; the table takes O(n⁴).
     """
     pts = canonical(validate_points(points))
-    # inner[a, b]: how many points lie strictly inside segment ab, for a < b.
-    inner: dict[tuple[Point, Point], int] = {}
+    n = len(pts)
+    index = {p: s for s, p in enumerate(pts)}
+    # inner[s][t]: how many points lie strictly inside segment pts[s] pts[t].
+    inner = [[0] * n for _ in range(n)]
+    best = min(n, 2)
     if not strict:
-        inner = {e: len(q) for e, q in _segment_interiors(pts).items()}
-    best = max([min(len(pts), 2)] + [2 + t for t in inner.values()])
+        for (a, b), q in _segment_interiors(pts).items():
+            s, t = index[a], index[b]
+            inner[s][t] = inner[t][s] = len(q)
+            best = max(best, 2 + len(q))
     for base, cand in _fans(pts):
-        first = [2 + inner.get((base, c), 0) for c in cand]
-        size: list[list[int]] = []
-        for i, c in enumerate(cand):
-            row = [0] * i
-            for j in range(i):
-                b = cand[j]
+        ox, oy = base
+        at = [index[c] for c in cand]
+        first = [2 + inner[index[base]][t] for t in at]
+        ranked: list[list[tuple[int, int, int]]] = []
+        for (cx, cy), closing, t in zip(cand, first, at):
+            edges = inner[t]
+            row, longest = [], 0
+            # ranked holds the rows before c's, so zip stops at c.
+            for (bx, by), most, chains, s in zip(cand, first, ranked, at):
+                ux, uy = cx - bx, cy - by
+                bu = bx * uy - by * ux
                 # b and c at one angle from the base: no chain turns left
                 # at b towards c, from the base or from an earlier angle.
-                if cross(base, b, c) <= 0:
+                if ox * uy - oy * ux >= bu:
                     continue
-                most = first[j]
-                for h, v in enumerate(size[j]):
-                    if v > most and cross(cand[h], b, c) > 0:
-                        most = v
-                most += 1 + inner.get((b, c) if b < c else (c, b), 0)
-                row[j] = most
-                best = max(best, most + first[i] - 2)
-            size.append(row)
+                for count, x, y in chains:
+                    if x * uy - y * ux < bu:
+                        most = count
+                        break
+                most += 1 + edges[s]
+                if most > closing:
+                    row.append((most, bx, by))
+                if most > longest:
+                    longest = most
+            row.sort(reverse=True)
+            ranked.append(row)
+            best = max(best, longest + closing - 2)
     return best
 
 

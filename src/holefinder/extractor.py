@@ -276,9 +276,9 @@ def _window_harvest(
             local = [p for p in pts if in_closed_hull(p, hull)]
             if len(local) < 5:
                 continue
-            hole = find_k_hole(local, 5)
+            # Searched among the window's points, checked against the set.
+            hole = find_k_hole(local, 5, ambient=pts)
             if hole is not None:
-                hole = HoleCertificate.build(pts, hole.vertices)
                 trace.append(
                     TraceStep(
                         "window-harvest",

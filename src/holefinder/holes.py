@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .convexity import _convex_walk, convex_hull, in_closed_hull
+from .convexity import HullBoundary, _convex_walk, convex_hull, in_closed_hull
 from .geometry import (
     GeometryError,
     Point,
@@ -36,25 +36,33 @@ class HoleCertificate:
 
     @classmethod
     def build(cls, ambient: Sequence[Point], vertices: Sequence[Point]) -> "HoleCertificate":
-        """Certificate for the given vertex set, checked against ambient."""
-        problem = cls(tuple(vertices), len(vertices)).problem(ambient)
+        """Certificate for the given vertex set, checked against ambient,
+        with the vertices in the clockwise order of the check's hull."""
+        problem, hull = cls(tuple(vertices), len(vertices))._checked(ambient)
         if problem is not None:
             raise GeometryError(f"{list(vertices)} is not a hole of the set: {problem}")
-        return cls(convex_hull(vertices).boundary, len(vertices))
+        return cls(hull.boundary, len(vertices))
 
     def problem(self, ambient: Sequence[Point]) -> Optional[str]:
         """The first broken condition of a k-hole of ambient, or None."""
+        return self._checked(ambient)[0]
+
+    def _checked(
+        self, ambient: Sequence[Point]
+    ) -> tuple[Optional[str], Optional[HullBoundary]]:
+        """``problem``'s answer and the hull of the vertices it read, None
+        when a condition on the points alone fails first."""
         pts = validate_points(ambient)
         problem = _point_problem(pts, self.vertices, self.k)
         if problem is not None or self.k < 3:
-            return problem or "a hole has at least 3 points"
+            return problem or "a hole has at least 3 points", None
         hull = convex_hull(self.vertices)
         if len(hull.corners) != self.k:
-            return "not strictly convex"
+            return "not strictly convex", hull
         inside = set(self.vertices)
         if any(p not in inside and in_closed_hull(p, hull) for p in pts):
-            return "hull not empty"
-        return None
+            return "hull not empty", hull
+        return None, hull
 
     def verify(self, ambient: Sequence[Point]) -> bool:
         return self.problem(ambient) is None
@@ -122,14 +130,19 @@ def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
     return problem is None
 
 
-def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
+def find_k_hole(
+    points: Sequence[Point], k: int, ambient: Optional[Sequence[Point]] = None
+) -> Optional[HoleCertificate]:
     """A k-hole of the point set, or None if there is none.
 
     Complete: the convex-position walk ``convexity._convex_walk`` runs with
     ``empty``, on strict corners with every fan triangle from the base
     required to be empty of other points, which prunes hard while missing
     nothing.  Each fan triangle is tested against the points of its angular
-    wedge in the base's fan alone, not against the whole set.
+    wedge in the base's fan alone, not against the whole set.  With
+    ``ambient``, a superset of the points, the certificate is built and
+    checked against it in place of the points; ``GeometryError`` if the
+    hole is not one of ``ambient``.
     """
     pts = canonical(validate_points(points))
     if k < 3:
@@ -137,7 +150,9 @@ def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     if len(pts) < k:
         return None
     found = _convex_walk(pts, k, empty=True)
-    return HoleCertificate.build(pts, found) if len(found) == k else None
+    if len(found) < k:
+        return None
+    return HoleCertificate.build(pts if ambient is None else ambient, found)
 
 
 @dataclass(frozen=True)
@@ -149,10 +164,6 @@ class VisibilityGraph:
 
     def adjacent(self, v: Point, w: Point) -> bool:
         return tuple(sorted((v, w))) in self.edges
-
-    def is_complete(self) -> bool:
-        n = len(self.vertices)
-        return len(self.edges) == n * (n - 1) // 2
 
 
 def visibility_graph(points: Sequence[Point]) -> VisibilityGraph:

@@ -5,8 +5,10 @@ descent, whose halfplane loop here searches every halfplane (the library
 skips those inside a set it has already refuted), of the recursive
 empty-chain hole search that ``find_k_hole`` ran before it moved onto the
 shared walk, and of the hull that found each edge's points by rescanning
-the set after a strict monotone chain.  Any faster search must return
-exactly what these return.
+the set after a strict monotone chain.  It also holds the size table of
+``convexity.max_convex_size`` as the plain triple loop it was before its
+rows were ranked.  Any faster search must return exactly what these
+return.
 
 It also holds the constructive side of ``q_formula``, which ``holefinder
 bounds`` prints: ``strictly_convex_subset_in_convex_position`` picks k
@@ -32,6 +34,7 @@ from holefinder.convexity import (
 from holefinder.geometry import (
     GeometryError,
     Point,
+    _segment_interiors,
     angle_order,
     canonical,
     cross,
@@ -100,6 +103,36 @@ def reference_find(points, k: int, strict: bool = False) -> Optional[list[Point]
     return found if len(found) >= k else None
 
 
+def reference_max_convex_size(points, strict: bool = False) -> int:
+    """The Chvátal–Klincsek size table as a plain triple loop: ``size[i][j]``
+    is the most points of a chain base -> ... -> cand[j] -> cand[i], and each
+    step scans every chain into cand[j] for a left turn towards cand[i]."""
+    pts = canonical(validate_points(points))
+    inner: dict[tuple[Point, Point], int] = {}
+    if not strict:
+        inner = {e: len(q) for e, q in _segment_interiors(pts).items()}
+    best = max([min(len(pts), 2)] + [2 + t for t in inner.values()])
+    for idx, base in enumerate(pts):
+        cand = angle_order(base, pts[idx + 1 :])
+        first = [2 + inner.get((base, c), 0) for c in cand]
+        size: list[list[int]] = []
+        for i, c in enumerate(cand):
+            row = [0] * i
+            for j in range(i):
+                b = cand[j]
+                if cross(base, b, c) <= 0:
+                    continue
+                most = first[j]
+                for h, v in enumerate(size[j]):
+                    if v > most and cross(cand[h], b, c) > 0:
+                        most = v
+                most += 1 + inner.get((b, c) if b < c else (c, b), 0)
+                row[j] = most
+                best = max(best, most + first[i] - 2)
+            size.append(row)
+    return best
+
+
 def reference_k_minimal_convex_subset(points, k: int) -> list[Point]:
     pts = canonical(validate_points(points))
     current = reference_find(pts, k)
@@ -146,7 +179,7 @@ def _reference_smaller_convex_subset(
     return None
 
 
-def reference_k_hole(points, k: int) -> Optional[HoleCertificate]:
+def reference_k_hole(points, k: int, ambient=None) -> Optional[HoleCertificate]:
     pts = canonical(validate_points(points))
     if k < 3:
         raise GeometryError("holes need k >= 3")
@@ -156,7 +189,7 @@ def reference_k_hole(points, k: int) -> Optional[HoleCertificate]:
         cand = angle_order(base, pts[idx + 1 :])
         chain = _reference_empty_chain(pts, base, cand, k)
         if chain is not None:
-            return HoleCertificate.build(pts, chain)
+            return HoleCertificate.build(pts if ambient is None else ambient, chain)
     return None
 
 

@@ -18,7 +18,7 @@ from holefinder.convexity import (
     max_convex_size,
     q_formula,
 )
-from holefinder.generators import grid, horton
+from holefinder.generators import grid, horton, random_bounded_collinear
 from holefinder.geometry import GeometryError, cross, max_collinear
 from holefinder.oracle import oracle_max_convex_subset
 
@@ -27,6 +27,7 @@ from convex_reference import (
     reference_convex_subset,
     reference_find,
     reference_k_minimal_convex_subset,
+    reference_max_convex_size,
     strictly_convex_subset_in_convex_position,
 )
 
@@ -211,6 +212,15 @@ SIZE_SETS = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 # turns right there towards (4, 4), so a shorter one, through (2, 2),
 # answers: extending only the longest chain gives 4, not 5.
 @example([(0, 3), (1, 4), (2, 2), (3, 1), (3, 2), (4, 4)])
+# A single point is one point, not a pair: 1 and 1.
+@example([(0, 0)])
+# Six points on a triangle, five of them along one edge: 6 and 3.  From the
+# base (0, 0), the step (2, -1) -> (4, 0) counts 3, no more than the 5 of
+# the edge (0, 0) -> (4, 0), so the ranked row of (4, 0) keeps no chain; yet
+# that step closes the largest polygon.
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2, -1)])
+# A vertical edge with two points inside it: 5 and 3.
+@example([(0, 0), (0, 1), (0, 2), (0, 3), (1, 1)])
 def test_max_convex_size_matches_oracle_and_reference(pts):
     # find trusts the table for None, so its size must be exact, not a bound.
     canon = sorted(pts)
@@ -218,8 +228,27 @@ def test_max_convex_size_matches_oracle_and_reference(pts):
     for strict in (False, True):
         size = max_convex_size(pts, strict)
         assert size == len(reference_convex_subset(canon, strict, n + 1))
+        assert size == reference_max_convex_size(pts, strict)
         if n <= 12:
             assert size == oracle_max_convex_subset(pts, strict=strict)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "pts, sizes",
+    [
+        (horton(64), (18, 18)),
+        (grid(8), (28, 13)),
+        *[(random_bounded_collinear(64, 4, seed), None) for seed in range(3)],
+    ],
+    ids=["horton64", "grid8", "random64-0", "random64-1", "random64-2"],
+)
+def test_max_convex_size_matches_reference_at_64_points(pts, sizes):
+    # No oracle reaches 64 points; the plain triple-loop table does.
+    found = (max_convex_size(pts), max_convex_size(pts, strict=True))
+    assert found == (reference_max_convex_size(pts), reference_max_convex_size(pts, True))
+    if sizes is not None:
+        assert found == sizes
 
 
 def _no_three_collinear(pts):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holefinder.convexity
+import holefinder.holes
 from holefinder.generators import grid, horton, random_general_position
 from holefinder.geometry import (
     GeometryError,
@@ -203,6 +204,17 @@ def test_certificate_problems_name_the_first_broken_condition():
         CollinearCertificate.build([(0, 0), (4, 0), (4, 4)])
 
 
+def test_hole_build_stores_the_hull_it_checked(monkeypatch):
+    hulls = []
+    real = holefinder.holes.convex_hull
+    monkeypatch.setattr(
+        holefinder.holes, "convex_hull", lambda pts: hulls.append(pts) or real(pts)
+    )
+    cert = HoleCertificate.build(SQUARE + [(9, 9)], [(4, 4), (0, 0), (4, 0), (0, 4)])
+    assert cert.vertices == ((0, 0), (0, 4), (4, 4), (4, 0))  # clockwise
+    assert len(hulls) == 1
+
+
 def test_collinear_certificate_rejects_non_collinear():
     with pytest.raises(GeometryError):
         CollinearCertificate.build([(0, 0), (1, 1), (2, 0)])
@@ -267,7 +279,7 @@ def test_segment_interiors_match_the_pairwise_scan(pts):
 
 
 def test_visibility_graph_complete_for_square():
-    assert visibility_graph(SQUARE).is_complete()
+    assert len(visibility_graph(SQUARE).edges) == 4 * 3 // 2
 
 
 def test_crossing_free_iff_no_4_hole():
@@ -314,7 +326,7 @@ def test_find_visible_5_clique_without_a_5_hole():
     # visible: the answer is the visibility graph's clique.
     pts = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 4)]
     assert find_k_hole(pts, 5) is None
-    assert visibility_graph(pts).is_complete()
+    assert len(visibility_graph(pts).edges) == 5 * 4 // 2
     assert find_visible_5_clique(pts, 3) == canonical(pts)
 
 

@@ -276,8 +276,9 @@ def _window_harvest(
             local = [p for p in pts if in_closed_hull(p, hull)]
             if len(local) < 5:
                 continue
-            # Searched among the window's points, checked against the set.
-            hole = find_k_hole(local, 5, ambient=pts)
+            # Every point of the set inside the window hull is in local,
+            # so a hole of local is a hole of the set.
+            hole = find_k_hole(local, 5)
             if hole is not None:
                 trace.append(
                     TraceStep(

@@ -130,19 +130,14 @@ def is_hole(points: Sequence[Point], subset: Sequence[Point]) -> bool:
     return problem is None
 
 
-def find_k_hole(
-    points: Sequence[Point], k: int, ambient: Optional[Sequence[Point]] = None
-) -> Optional[HoleCertificate]:
+def find_k_hole(points: Sequence[Point], k: int) -> Optional[HoleCertificate]:
     """A k-hole of the point set, or None if there is none.
 
     Complete: the convex-position walk ``convexity._convex_walk`` runs with
     ``empty``, on strict corners with every fan triangle from the base
     required to be empty of other points, which prunes hard while missing
     nothing.  Each fan triangle is tested against the points of its angular
-    wedge in the base's fan alone, not against the whole set.  With
-    ``ambient``, a superset of the points, the certificate is built and
-    checked against it in place of the points; ``GeometryError`` if the
-    hole is not one of ``ambient``.
+    wedge in the base's fan alone, not against the whole set.
     """
     pts = canonical(validate_points(points))
     if k < 3:
@@ -152,7 +147,7 @@ def find_k_hole(
     found = _convex_walk(pts, k, empty=True)
     if len(found) < k:
         return None
-    return HoleCertificate.build(pts if ambient is None else ambient, found)
+    return HoleCertificate.build(pts, found)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def _reference_smaller_convex_subset(
     return None
 
 
-def reference_k_hole(points, k: int, ambient=None) -> Optional[HoleCertificate]:
+def reference_k_hole(points, k: int) -> Optional[HoleCertificate]:
     pts = canonical(validate_points(points))
     if k < 3:
         raise GeometryError("holes need k >= 3")
@@ -189,7 +189,7 @@ def reference_k_hole(points, k: int, ambient=None) -> Optional[HoleCertificate]:
         cand = angle_order(base, pts[idx + 1 :])
         chain = _reference_empty_chain(pts, base, cand, k)
         if chain is not None:
-            return HoleCertificate.build(pts if ambient is None else ambient, chain)
+            return HoleCertificate.build(pts, chain)
     return None
 
 

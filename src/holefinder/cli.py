@@ -369,7 +369,7 @@ def _bound_digits(k: int, ell: int) -> int:
     if k > 10**15 or ell > 10**15:
         return max(k // 2, ell)  # a lower bound, past the range of floats
 
-    def log10_es(m: int) -> float:  # log10(es_bound(m) - 1)
+    def log10_es(m: int) -> float:  # log10(es_bound(m) - 1) from m = 5 on
         return (lgamma(2 * m - 4) - lgamma(m - 1) - lgamma(m - 2)) / log(10)
 
     es_k = log10_es(k)

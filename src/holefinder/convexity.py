@@ -84,32 +84,6 @@ def is_strictly_convex_position(points: Sequence[Point]) -> bool:
     return len(convex_hull(pts).corners) == len(pts)
 
 
-def hull_twice_area(corners: Sequence[Point]) -> int:
-    """Twice the area of a convex polygon given by its boundary corners."""
-    n = len(corners)
-    acc = 0
-    for i in range(n):
-        x1, y1 = corners[i]
-        x2, y2 = corners[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return abs(acc)
-
-
-def _hull_measure(points: Sequence[Point]) -> tuple[int, int]:
-    """(twice area, squared diameter) of the hull; strictly decreasing along
-    proper hull inclusions, including the degenerate collinear case."""
-    hull = convex_hull(points)
-    if len(hull.corners) == 1:
-        return 0, 0
-    area = hull_twice_area(hull.corners)
-    ext = max(
-        (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-        for p in hull.corners
-        for q in hull.corners
-    )
-    return area, ext
-
-
 def in_closed_hull(p: Point, hull: HullBoundary) -> bool:
     """True iff p lies in the closed region bounded by the hull."""
     corners = hull.corners
@@ -348,9 +322,16 @@ def q_formula(k: int, ell: int) -> int:
 
 
 def es_bound(k: int) -> int:
-    """Upper bound on the number of points forcing k in convex position."""
+    """Upper bound on the number of points forcing k in convex position.
+
+    Exact up to k = 4, where comb(2k - 5, k - 2) + 1 falls short: any three
+    points are in convex position and any five hold four (Klein), while two
+    points, or a triangle around a point, do not.
+    """
     if k < 3:
         raise GeometryError("es_bound needs k >= 3")
+    if k <= 4:
+        return 2 ** (k - 2) + 1
     return comb(2 * k - 5, k - 2) + 1
 
 
@@ -387,74 +368,48 @@ def es_kl_bound(k: int, ell: int) -> EsKlBound:
 
 
 def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
-    """A >= k point convex-position subset whose hull strictly contains the
-    hull of no other >= k point convex-position subset.
+    """A k-point convex-position subset whose hull strictly contains the hull
+    of no other >= k point convex-position subset.
 
-    Descends by hull area: while some k-subset in convex position fits inside
-    a halfplane cutting off a corner of the current hull, replace and repeat.
+    Peels hull corners: a corner c of what is left goes when the rest still
+    holds k points in convex position (``max_convex_size``), and the peel
+    starts again on the rest.  When no corner can go, the first k-subset
+    the walk meets is the answer.  A corner that cannot go never can, since
+    the size only falls as points go, so ``needed`` keeps it: each point is
+    tested at most once with each result, at most 2n tables in all, and
+    the walk runs once.
 
-    A set with no k points in convex position has no subset with k such
-    points, so the descent keeps, as bitmasks over ``pts``, the halfplane
-    point sets it has refuted and searches no set inside one of them again.
-    Every skipped search would have failed, and the halfplanes are still
-    tried in the same order, so the same replacement is found at each step.
+    - A dropped point was a corner, so an extreme point, of a superset of
+      what is left; it lies outside the hull of what is left.  So the
+      points inside that hull are exactly the points left.
+    - Every corner of what is left is needed, so every k-subset in convex
+      position holds all the corners, and its hull is the hull of what is
+      left.
+    - A >= k point subset in convex position with a strictly smaller hull
+      would miss some corner c, so it would lie in the rest without c,
+      which holds no k points in convex position.
+
+    Collinear sets (two corners) and k <= 2 need no special case.
     """
-    pts = canonical(validate_points(points))
-    current = find_convex_position_subset(pts, k)
-    if current is None:
+    if k < 1:
+        raise GeometryError("subset size must be positive")
+    rest = canonical(validate_points(points))
+    needed: set[Point] = set()
+    while rest:
+        for c in convex_hull(rest).corners:
+            if c in needed:
+                continue
+            smaller = [p for p in rest if p != c]
+            if max_convex_size(smaller) >= k:
+                rest = smaller
+                break
+            needed.add(c)
+        else:
+            break
+    found = find_convex_position_subset(rest, k)
+    if found is None:
         raise GeometryError(f"no {k} points in convex position")
-    bits = {p: 1 << i for i, p in enumerate(pts)}
-    refuted: list[int] = []
-    measure = _hull_measure(current)
-    while True:
-        replacement = _smaller_convex_subset(pts, current, k, bits, refuted)
-        if replacement is None:
-            return canonical(current)
-        new_measure = _hull_measure(replacement)
-        if new_measure >= measure:
-            raise GeometryError("k-minimal descent did not shrink the hull")
-        current, measure = replacement, new_measure
-
-
-def _smaller_convex_subset(
-    pts: list[Point],
-    current: list[Point],
-    k: int,
-    bits: dict[Point, int],
-    refuted: list[int],
-) -> Optional[list[Point]]:
-    """A >= k convex-position subset with hull properly inside the current
-    hull, or None if none exists.
-
-    Halfplane point sets inside a set of ``refuted`` (masks of ``bits``) are
-    skipped; each newly refuted set is added to it.
-    """
-    hull = convex_hull(current)
-    inside = [p for p in pts if in_closed_hull(p, hull)]
-    corners = hull.corners
-    if len(corners) <= 2:
-        # Degenerate hull: minimal k-subsets are windows along the line.
-        line = canonical(inside)
-        windows = [line[i : i + k] for i in range(len(line) - k + 1)]
-        best = min(windows, key=_hull_measure)  # ties go to the first window
-        return best if _hull_measure(best) < _hull_measure(current) else None
-    for a in inside:
-        for b in inside:
-            if a == b:
-                continue
-            if all(cross(a, b, c) >= 0 for c in corners):
-                continue  # no corner cut off by this halfplane
-            half = [q for q in inside if cross(a, b, q) >= 0]
-            if len(half) < k:
-                continue
-            mask = sum(bits[q] for q in half)
-            if any(mask | r == r for r in refuted):
-                continue
-            found = find_convex_position_subset(half, k)
-            if found is not None:
-                return found
-            refuted.append(mask)
-    return None
+    return canonical(found)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Reference convex-position and hole searches for differential tests.
 
 A copy of the chain DFS of ``convexity._convex_walk``, of the k-minimal
-descent, whose halfplane loop here searches every halfplane (the library
-skips those inside a set it has already refuted), of the recursive
+corner peeling, whose existence test here is the reference walk (the
+library reads the size table), of the recursive
 empty-chain hole search that ``find_k_hole`` ran before it moved onto the
 shared walk, and of the hull that found each edge's points by rescanning
 the set after a strict monotone chain.  It also holds the size table of
@@ -24,9 +24,7 @@ from typing import Optional, Sequence
 
 from holefinder.convexity import (
     HullBoundary,
-    _hull_measure,
     convex_hull,
-    in_closed_hull,
     is_convex_position,
     is_strictly_convex_position,
     q_formula,
@@ -134,49 +132,25 @@ def reference_max_convex_size(points, strict: bool = False) -> int:
 
 
 def reference_k_minimal_convex_subset(points, k: int) -> list[Point]:
-    pts = canonical(validate_points(points))
-    current = reference_find(pts, k)
-    if current is None:
+    if k < 1:
+        raise GeometryError("subset size must be positive")
+    rest = canonical(validate_points(points))
+    needed: set[Point] = set()
+    while rest:
+        for c in convex_hull(rest).corners:
+            if c in needed:
+                continue
+            smaller = [p for p in rest if p != c]
+            if reference_find(smaller, k) is not None:
+                rest = smaller
+                break
+            needed.add(c)
+        else:
+            break
+    found = reference_find(rest, k)
+    if found is None:
         raise GeometryError(f"no {k} points in convex position")
-    measure = _hull_measure(current)
-    while True:
-        replacement = _reference_smaller_convex_subset(pts, current, k)
-        if replacement is None:
-            return canonical(current)
-        new_measure = _hull_measure(replacement)
-        if new_measure >= measure:
-            raise GeometryError("k-minimal descent did not shrink the hull")
-        current, measure = replacement, new_measure
-
-
-def _reference_smaller_convex_subset(
-    pts: list[Point], current: list[Point], k: int
-) -> Optional[list[Point]]:
-    hull = convex_hull(current)
-    inside = [p for p in pts if in_closed_hull(p, hull)]
-    corners = hull.corners
-    if len(corners) <= 2:
-        line = canonical(inside)
-        best = None
-        for i in range(len(line) - k + 1):
-            window = line[i : i + k]
-            if _hull_measure(window) < _hull_measure(current):
-                if best is None or _hull_measure(window) < _hull_measure(best):
-                    best = window
-        return best
-    for a in inside:
-        for b in inside:
-            if a == b:
-                continue
-            if all(cross(a, b, c) >= 0 for c in corners):
-                continue
-            half = [q for q in inside if cross(a, b, q) >= 0]
-            if len(half) < k:
-                continue
-            found = reference_find(half, k)
-            if found is not None:
-                return found
-    return None
+    return canonical(found)
 
 
 def reference_k_hole(points, k: int) -> Optional[HoleCertificate]:

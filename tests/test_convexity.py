@@ -9,7 +9,6 @@ from holefinder.convexity import (
     es_bound,
     es_kl_bound,
     find_convex_position_subset,
-    hull_twice_area,
     in_closed_hull,
     is_convex_position,
     is_strictly_convex_position,
@@ -18,7 +17,12 @@ from holefinder.convexity import (
     max_convex_size,
     q_formula,
 )
-from holefinder.generators import grid, horton, random_bounded_collinear
+from holefinder.generators import (
+    grid,
+    horton,
+    random_bounded_collinear,
+    random_general_position,
+)
 from holefinder.geometry import GeometryError, cross, max_collinear
 from holefinder.oracle import oracle_max_convex_subset
 
@@ -86,11 +90,6 @@ def test_position_predicates():
     line = [(i, 0) for i in range(10)]
     assert is_convex_position(line)
     assert not is_strictly_convex_position(line)
-
-
-def test_hull_twice_area():
-    assert hull_twice_area(convex_hull(SQUARE).corners) == 32
-    assert hull_twice_area(convex_hull([(0, 0), (1, 0), (0, 1)]).corners) == 1
 
 
 def test_in_closed_hull():
@@ -309,6 +308,12 @@ def test_q_formula_values():
 def test_es_bound_values():
     assert es_bound(5) == 11
     assert es_bound(6) == 36
+    # The binomial gives 2 and 4 here; two points hold no three, and a
+    # triangle around a point holds no four in convex position.
+    assert es_bound(3) == 3
+    assert es_bound(4) == 5
+    assert es_kl_bound(3, 3).value == 3
+    assert es_kl_bound(4, 3).value == 5
 
 
 def test_es_kl_bound_comparison_directions():
@@ -351,6 +356,48 @@ def test_k_minimal_accepts_collinear_triples():
     # Three collinear points are in (non-strict) convex position.
     out = k_minimal_convex_subset([(0, 0), (1, 0), (2, 0)], 3)
     assert len(out) == 3
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "pts",
+    [
+        horton(32),
+        horton(64),
+        grid(8),
+        *[random_bounded_collinear(64, 4, seed) for seed in range(2)],
+    ],
+    ids=["horton32", "horton64", "grid8", "random64-0", "random64-1"],
+)
+def test_k_minimal_corners_are_needed(pts):
+    # No oracle reaches these sizes; k-minimality is checked as the proof
+    # of k_minimal_convex_subset states it, with one table per corner.
+    k = max_convex_size(pts)
+    out = k_minimal_convex_subset(pts, k)
+    assert len(set(out)) == k and set(out) <= set(pts)
+    assert is_convex_position(out)
+    hull = convex_hull(out)
+    inside = [p for p in pts if in_closed_hull(p, hull)]
+    others = [p for p in inside if p not in out]
+    assert not [p for p in others if p in convex_hull(out + [p]).boundary]
+    for c in hull.corners:
+        assert max_convex_size([p for p in inside if p != c]) < k
+
+
+@pytest.mark.parametrize(
+    "pts", [random_general_position(16, 0), horton(16)], ids=["random16", "horton16"]
+)
+def test_k_minimal_walks_once(monkeypatch, pts):
+    walk = holefinder.convexity._convex_walk
+    walks = []
+
+    def counting(pts, target, empty=False):
+        walks.append(target)
+        return walk(pts, target, empty)
+
+    monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
+    assert len(k_minimal_convex_subset(pts, 5)) == 5
+    assert walks == [5]
 
 
 def test_convex_layers_profile_5x5():

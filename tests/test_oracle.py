@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holefinder.convexity import (
@@ -50,6 +50,8 @@ def test_oracle_max_convex_subset():
     assert oracle_max_convex_subset(grid, strict=False) == 8
     assert oracle_max_convex_subset(grid, strict=True) == 6
     assert oracle_max_convex_subset([(0, 0), (1, 0)], strict=False) == 2
+    # A triangle around a point: any three, but no four.
+    assert oracle_max_convex_subset([(0, 0), (4, 0), (0, 4), (1, 1)], strict=False) == 3
 
 
 def test_oracle_max_convex_subset_budget():
@@ -95,6 +97,11 @@ def lattice_set_and_k(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_set_and_k())
+# Six points on a line: a collinear set needs no case of its own.
+@example(([(i, 0) for i in range(6)], 3))
+# A line of five points and an apex: four points of the line are 4-minimal,
+# and so is the apex with the last three, where the peel ends.
+@example(([(i, 0) for i in range(5)] + [(2, 3)], 4))
 def test_k_minimal_passes_oracle_on_lattice_sets(case):
     pts, k = case
     out = k_minimal_convex_subset(pts, k)

@@ -162,6 +162,9 @@ def test_package_imports_no_test_reference():
         "convex_layers",
         "random_convex_position",
         "is_complete",
+        "_smaller_convex_subset",
+        "_hull_measure",
+        "hull_twice_area",
     ],
 )
 def test_removed_names_stay_out_of_the_package(name):
@@ -170,7 +173,8 @@ def test_removed_names_stay_out_of_the_package(name):
     # references.  The walk's
     # arcs are point pairs of the stored layers, and tests build layers with
     # LayerDecomposition.build.  Tests count a complete visibility graph's
-    # edges themselves.
+    # edges themselves.  The k-minimal outer layer peels hull corners, so no
+    # halfplane descent or hull measure is left.
     for path in sorted(Path(holefinder.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         defined = {

@@ -280,17 +280,23 @@ def test_max_convex_size_rejects_repeated_point():
         max_convex_size([(0, 0), (1, 2), (0, 0)])
 
 
-def test_refuted_find_does_not_walk(monkeypatch):
-    pts = horton(16)
-    most = len(reference_convex_subset(sorted(pts), False, len(pts) + 1))
+@pytest.fixture
+def walks(monkeypatch):
+    """The target of every ``_convex_walk`` call, in call order."""
     walk = holefinder.convexity._convex_walk
-    walks = []
+    targets = []
 
     def counting(pts, target, empty=False):
-        walks.append(target)
+        targets.append(target)
         return walk(pts, target, empty)
 
     monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
+    return targets
+
+
+def test_refuted_find_does_not_walk(walks):
+    pts = horton(16)
+    most = len(reference_convex_subset(sorted(pts), False, len(pts) + 1))
     assert find_convex_position_subset(pts, most + 1) is None
     assert walks == []
     assert len(find_convex_position_subset(pts, most)) == most
@@ -387,15 +393,7 @@ def test_k_minimal_corners_are_needed(pts):
 @pytest.mark.parametrize(
     "pts", [random_general_position(16, 0), horton(16)], ids=["random16", "horton16"]
 )
-def test_k_minimal_walks_once(monkeypatch, pts):
-    walk = holefinder.convexity._convex_walk
-    walks = []
-
-    def counting(pts, target, empty=False):
-        walks.append(target)
-        return walk(pts, target, empty)
-
-    monkeypatch.setattr(holefinder.convexity, "_convex_walk", counting)
+def test_k_minimal_walks_once(walks, pts):
     assert len(k_minimal_convex_subset(pts, 5)) == 5
     assert walks == [5]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     GeometryError,
@@ -239,9 +239,27 @@ def _fans(pts: list[Point]) -> Iterator[tuple[Point, list[Point]]]:
 
 def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
     """The size of the largest subset in (strictly) convex position, found
-    without walking.
+    without walking: the table of ``_size_table`` over every point."""
+    pts = canonical(validate_points(points))
+    return _size_table(pts, strict)(pts)
 
-    A table over each base's fan (Chvátal and Klincsek, 1980) replaces the
+
+def _size_table(pts: list[Point], strict: bool = False) -> Callable[..., int]:
+    """Prepare the size table of the canonical ``pts`` once; the function it
+    returns runs the table over the points ``live`` of ``pts`` and answers
+    the size of their largest subset in (strictly) convex position, or,
+    once that size reaches ``stop``, a size of at least ``stop``.
+
+    The preparation holds the edge counts, ``inner[s][t]`` (how many points
+    lie strictly inside segment pts[s] pts[t]; all zeros when strict), from
+    one ``_segment_interiors``, the runs of points on a line, longest first,
+    and each base's fan as indices, from one ``_fans`` pass.  A run over
+    ``live`` reads the fans without the points that are not live: a
+    sub-sequence of an angle order is still in angle order.  The edge
+    counts hold for ``live`` when no point left out lies inside a segment
+    between live points, as for a point outside the hull of the live ones.
+
+    The table over each base's fan (Chvátal and Klincsek, 1980) replaces the
     walk's chains.  A chain base -> ... -> cand[j] counts its corners and,
     in the non-strict case, the points inside its edges; ``first[j]``
     counts base -> cand[j].  ``ranked[j]`` holds every longer chain into
@@ -255,50 +273,72 @@ def max_convex_size(points: Sequence[Point], strict: bool = False) -> int:
     so the turn back to the base, cross(b, c, base), is the step's
     cross(base, b, c) > 0.  Closing adds first[i] - 2 to the longest step
     into cand[i] over every j, kept in ``ranked[i]`` or not.  Up to two
-    points, and (non-strict) the longest collinear run, count as well.  The
+    points, and (non-strict) the longest live run, count as well.  The
     points inside an edge come from ``_segment_interiors`` in O(n²)
     direction work; the table takes O(n⁴).
     """
-    pts = canonical(validate_points(points))
     n = len(pts)
     index = {p: s for s, p in enumerate(pts)}
-    # inner[s][t]: how many points lie strictly inside segment pts[s] pts[t].
     inner = [[0] * n for _ in range(n)]
-    best = min(n, 2)
+    runs: list[tuple[int, int, int]] = []
     if not strict:
         for (a, b), q in _segment_interiors(pts).items():
             s, t = index[a], index[b]
             inner[s][t] = inner[t][s] = len(q)
-            best = max(best, 2 + len(q))
-    for base, cand in _fans(pts):
-        ox, oy = base
-        at = [index[c] for c in cand]
-        first = [2 + inner[index[base]][t] for t in at]
-        ranked: list[list[tuple[int, int, int]]] = []
-        for (cx, cy), closing, t in zip(cand, first, at):
-            edges = inner[t]
-            row, longest = [], 0
-            # ranked holds the rows before c's, so zip stops at c.
-            for (bx, by), most, chains, s in zip(cand, first, ranked, at):
-                ux, uy = cx - bx, cy - by
-                bu = bx * uy - by * ux
-                # b and c at one angle from the base: no chain turns left
-                # at b towards c, from the base or from an earlier angle.
-                if ox * uy - oy * ux >= bu:
-                    continue
-                for count, x, y in chains:
-                    if x * uy - y * ux < bu:
-                        most = count
-                        break
-                most += 1 + edges[s]
-                if most > closing:
-                    row.append((most, bx, by))
-                if most > longest:
-                    longest = most
-            row.sort(reverse=True)
-            ranked.append(row)
-            best = max(best, longest + closing - 2)
-    return best
+            if q:
+                runs.append((len(q), s, t))
+        runs.sort(reverse=True)
+    fans = [[index[c] for c in cand] for _, cand in _fans(pts)]
+
+    def size(live: Iterable[Point], stop: Optional[int] = None) -> int:
+        alive = [False] * n
+        for p in live:
+            alive[index[p]] = True
+        best = min(sum(alive), 2)
+        for q, s, t in runs:
+            if alive[s] and alive[t]:
+                best = max(best, 2 + q)
+                break
+        stop = n + 1 if stop is None else stop
+        if best >= stop:
+            return best
+        for s, fan in enumerate(fans):
+            if not alive[s]:
+                continue
+            ox, oy = pts[s]
+            at = [t for t in fan if alive[t]]
+            cand = [pts[t] for t in at]
+            first = [2 + inner[s][t] for t in at]
+            ranked: list[list[tuple[int, int, int]]] = []
+            for (cx, cy), closing, t in zip(cand, first, at):
+                edges = inner[t]
+                row, longest = [], 0
+                # ranked holds the rows before c's, so zip stops at c.
+                for (bx, by), most, chains, r in zip(cand, first, ranked, at):
+                    ux, uy = cx - bx, cy - by
+                    bu = bx * uy - by * ux
+                    # b and c at one angle from the base: no chain turns
+                    # left at b towards c, from the base or from an earlier
+                    # angle.
+                    if ox * uy - oy * ux >= bu:
+                        continue
+                    for count, x, y in chains:
+                        if x * uy - y * ux < bu:
+                            most = count
+                            break
+                    most += 1 + edges[r]
+                    if most > closing:
+                        row.append((most, bx, by))
+                    if most > longest:
+                        longest = most
+                row.sort(reverse=True)
+                ranked.append(row)
+                best = max(best, longest + closing - 2)
+                if best >= stop:
+                    return best
+        return best
+
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +412,11 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
     of no other >= k point convex-position subset.
 
     Peels hull corners: a corner c of what is left goes when the rest still
-    holds k points in convex position (``max_convex_size``), and the peel
-    starts again on the rest.  When no corner can go, the first k-subset
-    the walk meets is the answer.  A corner that cannot go never can, since
-    the size only falls as points go, so ``needed`` keeps it: each point is
-    tested at most once with each result, at most 2n tables in all, and
-    the walk runs once.
+    holds k points in convex position, and the peel starts again on the
+    rest.  When no corner can go, the first k-subset the walk meets is the
+    answer; a table has proved that the rest holds one.  A corner that cannot go never can, since the size only falls
+    as points go, so ``needed`` keeps it: each point is tested at most once
+    with each result, at most 2n + 1 tables in all, and the walk runs once.
 
     - A dropped point was a corner, so an extreme point, of a superset of
       what is left; it lies outside the hull of what is left.  So the
@@ -389,27 +428,34 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
       would miss some corner c, so it would lie in the rest without c,
       which holds no k points in convex position.
 
-    Collinear sets (two corners) and k <= 2 need no special case.
+    Every test reads one size table, prepared once on the input
+    (``_size_table``), over the points left without c, and stops at k.
+    That is exact: c and every point dropped before it lie outside the hull
+    of the rest, so inside no segment between points of the rest, and the
+    input's edge counts hold; and the rest's fans are the input's fans
+    without the points gone, since a sub-sequence of an angle order is
+    still in angle order.  Collinear sets (two corners) and k <= 2 need no
+    special case.
     """
     if k < 1:
         raise GeometryError("subset size must be positive")
-    rest = canonical(validate_points(points))
+    pts = canonical(validate_points(points))
+    sizes = _size_table(pts)
+    if sizes(pts, k) < k:
+        raise GeometryError(f"no {k} points in convex position")
+    rest = pts
     needed: set[Point] = set()
-    while rest:
+    while True:
         for c in convex_hull(rest).corners:
             if c in needed:
                 continue
             smaller = [p for p in rest if p != c]
-            if max_convex_size(smaller) >= k:
+            if sizes(smaller, k) >= k:
                 rest = smaller
                 break
             needed.add(c)
         else:
-            break
-    found = find_convex_position_subset(rest, k)
-    if found is None:
-        raise GeometryError(f"no {k} points in convex position")
-    return canonical(found)
+            return _convex_walk(rest, k)
 
 
 @dataclass(frozen=True)

@@ -173,10 +173,14 @@ def test_convex_search_matches_reference(pts):
         reference_convex_subset(canon, True, n + 1)
     )
     assert max_convex_position_subset(pts) == reference_convex_subset(canon, False, n + 1)
+    most = max_convex_size(pts)
     for cap in range(1, n + 2):
         assert max_convex_position_subset(pts, cap=cap) == reference_convex_subset(
             canon, False, cap
         )
+        # A capped walk returns cap points or a maximum: its length is the
+        # table's size, capped.
+        assert len(max_convex_position_subset(pts, cap=cap)) == min(cap, most)
     for k in range(1, n + 1):
         if reference_find(pts, k) is None:
             break
@@ -396,6 +400,52 @@ def test_k_minimal_corners_are_needed(pts):
 def test_k_minimal_walks_once(walks, pts):
     assert len(k_minimal_convex_subset(pts, 5)) == 5
     assert walks == [5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATTICE_SETS)
+# Without (2, 2) a run of five reaches every k up to 5 before any base;
+# without (0, 0) the longest run is gone and the next one, of four, counts.
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2, 2)])
+# A vertical edge with two points inside it.
+@example([(0, 0), (0, 1), (0, 2), (0, 3), (1, 1)])
+# Without (5, 5) the unit square closes from the first base, (0, 0), so a
+# stop at 3 or 4 fires there.
+@example([(0, 0), (1, 0), (0, 1), (1, 1), (5, 5)])
+def test_prepared_table_without_a_corner_matches(pts):
+    # The peel's fast path: one table prepared on the input, run over the
+    # points left without a hull corner, stopped at k.
+    canon = sorted(pts)
+    for strict in (False, True):
+        sizes = holefinder.convexity._size_table(canon, strict)
+        for c in convex_hull(canon).corners:
+            rest = [p for p in canon if p != c]
+            size = max_convex_size(rest, strict)
+            assert size == reference_max_convex_size(rest, strict)
+            assert sizes(rest) == size
+            for k in range(1, len(canon) + 1):
+                assert (sizes(rest, k) >= k) == (size >= k)
+
+
+@pytest.fixture
+def preparations(monkeypatch):
+    """How many times ``_segment_interiors`` and ``_fans`` are called."""
+    calls = {"_segment_interiors": 0, "_fans": 0}
+    for name in calls:
+        original = getattr(holefinder.convexity, name)
+
+        def counting(pts, name=name, original=original):
+            calls[name] += 1
+            return original(pts)
+
+        monkeypatch.setattr(holefinder.convexity, name, counting)
+    return calls
+
+
+def test_k_minimal_prepares_once(preparations):
+    # One preparation for every size table of the peel, one for the walk.
+    assert len(k_minimal_convex_subset(horton(16), 5)) == 5
+    assert preparations == {"_segment_interiors": 2, "_fans": 2}
 
 
 def test_convex_layers_profile_5x5():

@@ -30,11 +30,13 @@ def test_library_has_no_assert_statements():
         # Every angle-ordered fan comes from convexity._fans, which the chain
         # walk and the size table share.
         ("angle_order", {"convexity._fans"}),
-        # One walk with two modes: convex-position subsets and holes.
+        # One walk with two modes: convex-position subsets and holes.  The
+        # k-minimal peel walks once, after its size tables prove k.
         (
             "_convex_walk",
             {
                 "convexity.find_convex_position_subset",
+                "convexity.k_minimal_convex_subset",
                 "convexity.max_convex_position_subset",
                 "holes.find_k_hole",
             },

@@ -413,20 +413,27 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
 
     Peels hull corners: a corner c of what is left goes when the rest still
     holds k points in convex position, and the peel starts again on the
-    rest.  When no corner can go, the first k-subset the walk meets is the
-    answer; a table has proved that the rest holds one.  A corner that cannot go never can, since the size only falls
+    rest.  When no corner can go, the answer is the hull boundary of what
+    is left; a table has proved that the rest holds k points in convex
+    position.  A corner that cannot go never can, since the size only falls
     as points go, so ``needed`` keeps it: each point is tested at most once
-    with each result, at most 2n + 1 tables in all, and the walk runs once.
+    with each result, at most 2n + 1 tables in all, then one hull.
 
     - A dropped point was a corner, so an extreme point, of a superset of
       what is left; it lies outside the hull of what is left.  So the
       points inside that hull are exactly the points left.
     - Every corner of what is left is needed, so every k-subset in convex
-      position holds all the corners, and its hull is the hull of what is
-      left.
+      position holds all the corners.  Its hull is then the hull of what
+      is left, and each of its points lies on that hull's boundary.
+    - The boundary is in convex position.  With k + 1 or more points it
+      would be so without any one corner, which is then not needed.  So it
+      has exactly k points, and it is the only k-subset in convex position
+      of what is left: any search, the walk included, finds it.
     - A >= k point subset in convex position with a strictly smaller hull
       would miss some corner c, so it would lie in the rest without c,
       which holds no k points in convex position.
+    - No other input point lies on the boundary: one there lies inside the
+      hull of what is left, so it is a point left, and so in the answer.
 
     Every test reads one size table, prepared once on the input
     (``_size_table``), over the points left without c, and stops at k.
@@ -435,7 +442,8 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
     input's edge counts hold; and the rest's fans are the input's fans
     without the points gone, since a sub-sequence of an angle order is
     still in angle order.  Collinear sets (two corners) and k <= 2 need no
-    special case.
+    special case: the same argument holds, and the boundary is every point
+    left.
     """
     if k < 1:
         raise GeometryError("subset size must be positive")
@@ -455,7 +463,7 @@ def k_minimal_convex_subset(points: Sequence[Point], k: int) -> list[Point]:
                 break
             needed.add(c)
         else:
-            return _convex_walk(rest, k)
+            return canonical(convex_hull(rest).boundary)
 
 
 @dataclass(frozen=True)

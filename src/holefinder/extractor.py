@@ -224,7 +224,8 @@ def _run_machinery(
 
     # (a) No other point lies on the k-minimal outer hull's boundary: adding
     # it and dropping a corner would give >= k points in convex position
-    # with a strictly smaller hull.  Each peel takes every boundary point of
+    # with a strictly smaller hull; k_minimal_convex_subset's docstring
+    # proves it for its answer.  Each peel takes every boundary point of
     # what is left.  So each layer lies strictly inside the previous layer's
     # hull, and the apex, in the nonempty residue, strictly inside each; no
     # arc is collinear with it.

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from holefinder.convexity import (
     convex_hull,
     in_closed_hull,
+    is_convex_position,
     k_minimal_convex_subset,
     max_convex_position_subset,
     max_convex_size,
@@ -111,6 +114,13 @@ def test_k_minimal_passes_oracle_on_lattice_sets(case):
     hull = convex_hull(out)
     inside = [p for p in pts if p not in out and in_closed_hull(p, hull)]
     assert not [p for p in inside if p in convex_hull(out + [p]).boundary]
+    # The peel answers with the hull boundary of what is left because it is
+    # the only k-subset in convex position of the points in its closed hull.
+    closed = [p for p in pts if in_closed_hull(p, hull)]
+    found = [
+        sorted(s) for s in combinations(closed, k) if is_convex_position(s)
+    ]
+    assert found == [sorted(out)]
 
 
 def test_oracle_k_minimality_validates_candidate():

@@ -31,12 +31,12 @@ def test_library_has_no_assert_statements():
         # walk and the size table share.
         ("angle_order", {"convexity._fans"}),
         # One walk with two modes: convex-position subsets and holes.  The
-        # k-minimal peel walks once, after its size tables prove k.
+        # k-minimal peel does not walk: after its size tables, the hull
+        # boundary of what is left is its answer.
         (
             "_convex_walk",
             {
                 "convexity.find_convex_position_subset",
-                "convexity.k_minimal_convex_subset",
                 "convexity.max_convex_position_subset",
                 "holes.find_k_hole",
             },
